@@ -1,19 +1,17 @@
 #!/usr/bin/env python
 """Wall-clock benchmark of the experiment matrix.
 
-Times the (workload x configuration) matrix four ways — the full fast
-pipeline (``REPRO_FAST=1 REPRO_VEC=1 REPRO_SCHED=1``, the default:
-whole-loop affine interpretation, set-level cache walks, two-level
-replay scheduler with macro-chunk coalescing), the same pipeline on the
-tuple-heap reference engine (``REPRO_SCHED=0``), batched replay with
-the vector paths off (``REPRO_VEC=0``) and the scalar per-access
-reference (``REPRO_FAST=0``) — asserts all modes produce identical
-results cell for cell, and writes a machine-readable report to
+Times the (workload x configuration) matrix three ways — the full fast
+pipeline (``REPRO_FAST=1 REPRO_VEC=1``, the default: whole-loop affine
+interpretation, set-level cache walks), batched replay with the vector
+paths off (``REPRO_VEC=0``) and the scalar per-access reference
+(``REPRO_FAST=0``) — asserts all modes produce identical results cell
+for cell, and writes a machine-readable report to
 ``BENCH_matrix.json``:
 
-* wall seconds, cells and cells/second per mode, plus per-engine event
-  counts (scheduler events dispatched, fast-forwards, analytic replay
-  and coalescing tallies);
+* wall seconds, cells and cells/second per mode, plus event-core
+  counters (events dispatched, offload runs, peak pending events and
+  channel occupancy);
 * the interpret-vs-replay split (the first configuration of each
   workload pays the golden interpreter; the rest replay its functional
   trace from the trace cache);
@@ -69,23 +67,18 @@ def _cell_sig(result: RunResult) -> Tuple:
     )
 
 
-#: benchmark modes: (name, REPRO_FAST, REPRO_VEC, REPRO_SCHED)
+#: benchmark modes: (name, REPRO_FAST, REPRO_VEC)
 MODES = (
-    ("vec", True, True, True),
-    ("sched_off", True, True, False),
-    ("fast", True, False, True),
-    ("scalar", False, False, True),
+    ("vec", True, True),
+    ("fast", True, False),
+    ("scalar", False, False),
 )
 
 #: per-engine event counters copied from the obs registry into each
 #: mode's report entry (events-per-cell alongside cells/s)
 ENGINE_COUNTERS = (
     "engine.sim_events",
-    "engine.sim_fastforwards",
     "engine.offload_runs",
-    "engine.fastsim_runs",
-    "engine.fastsim_fallbacks",
-    "engine.fastsim_coalesced",
 )
 ENGINE_MAXIMA = (
     "engine.sim_peak_pending",
@@ -93,12 +86,11 @@ ENGINE_MAXIMA = (
 )
 
 
-def _time_mode(name: str, fast: bool, vec: bool, sched: bool, scale: str,
+def _time_mode(name: str, fast: bool, vec: bool, scale: str,
                workloads: Sequence[str], configs: Sequence[str],
                jobs: Optional[int]) -> Dict:
     os.environ["REPRO_FAST"] = "1" if fast else "0"
     os.environ["REPRO_VEC"] = "1" if vec else "0"
-    os.environ["REPRO_SCHED"] = "1" if sched else "0"
     OBS.reset()
     start = time.perf_counter()
     matrix = ResultMatrix(
@@ -136,7 +128,6 @@ def _time_mode(name: str, fast: bool, vec: bool, sched: bool, scale: str,
         "mode": name,
         "repro_fast": int(fast),
         "repro_vec": int(vec),
-        "repro_sched": int(sched),
         "engine_counters": events,
         "events_per_cell": (round(sim_events / n_cells, 1)
                             if n_cells else None),
@@ -172,28 +163,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "identity check)")
     parser.add_argument("--skip-fast", action="store_true",
                         help="skip the vec-off batched pass")
-    parser.add_argument("--skip-sched-off", action="store_true",
-                        help="skip the reference-engine (REPRO_SCHED=0) "
-                             "pass")
     args = parser.parse_args(argv)
 
     workloads = [w for w in args.workloads.split(",") if w]
     configs = [c for c in args.configs.split(",") if c]
     prior_env = {
         v: os.environ.get(v)
-        for v in ("REPRO_FAST", "REPRO_VEC", "REPRO_SCHED")
+        for v in ("REPRO_FAST", "REPRO_VEC")
     }
 
     skip = {"scalar"} if args.skip_scalar else set()
     if args.skip_fast:
         skip.add("fast")
-    if args.skip_sched_off:
-        skip.add("sched_off")
     try:
         modes = [
-            _time_mode(name, fast, vec, sched, args.scale, workloads,
-                       configs, args.jobs)
-            for name, fast, vec, sched in MODES if name not in skip
+            _time_mode(name, fast, vec, args.scale, workloads, configs,
+                       args.jobs)
+            for name, fast, vec in MODES if name not in skip
         ]
     finally:
         for var, prior in prior_env.items():
@@ -218,9 +204,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     speedup_vec_over_fast = None
     if "vec" in wall and "fast" in wall and wall["vec"]:
         speedup_vec_over_fast = round(wall["fast"] / wall["vec"], 3)
-    speedup_sched = None
-    if "vec" in wall and "sched_off" in wall and wall["vec"]:
-        speedup_sched = round(wall["sched_off"] / wall["vec"], 3)
     # headline number: the full small matrix took 100.3 s before the
     # columnar/batched pipeline (the scalar mode timed above also gained
     # from the hoisting/inlining that landed alongside it)
@@ -238,7 +221,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "machine": platform.machine(),
         "speedup_fast_over_scalar": speedup,
         "speedup_vec_over_fast": speedup_vec_over_fast,
-        "speedup_sched_over_reference": speedup_sched,
         "pre_change_small_matrix_s": PRE_CHANGE_SMALL_MATRIX_S,
         "speedup_vs_pre_change": vs_history,
         "identical_results": (None if len(modes) < 2 else not mismatches),
@@ -261,20 +243,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"speedup ({modes[0]['mode']} over scalar): {speedup}x")
     if speedup_vec_over_fast is not None:
         print(f"speedup (vec over fast): {speedup_vec_over_fast}x")
-    if speedup_sched is not None:
-        print(f"speedup (two-level engine over reference engine): "
-              f"{speedup_sched}x")
     for mode in report["modes"]:
         counters = mode.get("engine_counters") or {}
-        if counters.get("engine.sim_events") or counters.get(
-                "engine.fastsim_runs"):
+        if counters.get("engine.sim_events"):
             print(f"{mode['mode']:>10}: {counters['engine.sim_events']:,} "
-                  f"events ({mode['events_per_cell']}/cell), "
-                  f"{counters['engine.sim_fastforwards']:,} fast-forwards, "
-                  f"{counters['engine.fastsim_runs']:,}/"
-                  f"{counters['engine.offload_runs']:,} runs analytic, "
-                  f"{counters['engine.fastsim_coalesced']:,} procs "
-                  f"coalesced")
+                  f"events ({mode['events_per_cell']}/cell) over "
+                  f"{counters['engine.offload_runs']:,} offload runs")
     if vs_history is not None:
         print(f"speedup (fast vs {PRE_CHANGE_SMALL_MATRIX_S}s pre-change "
               f"small matrix): {vs_history}x")

@@ -2,9 +2,9 @@
 
 Every behavior knob the simulator reads from the environment is declared
 here once, with its type, default and the tests that pin its semantics.
-Call sites (:mod:`repro.fastpath`, the experiment runner, the analysis
-guard, the DSE scheduler) go through the typed accessors below instead
-of ``os.environ.get`` so the README's environment-variable table can be
+Call sites (the replay engines, the interpreters, the experiment runner,
+the analysis guard, the DSE scheduler) go through the typed accessors
+below instead of ``os.environ.get`` so the README's environment-variable table can be
 checked against code (``tools/check_docs.py`` / the docs-consistency
 test) rather than drifting from it.
 
@@ -58,14 +58,6 @@ REPRO_VEC = EnvVar(
     "set-level vectorized cache walk; `0` keeps the per-iteration / "
     "per-access scalar reference paths (bit-identical results)",
     "tests/ir/test_vecinterp.py",
-)
-REPRO_SCHED = EnvVar(
-    "REPRO_SCHED", "bool", "1",
-    "two-level replay scheduler (same-timestamp run queue + calendar "
-    "buckets, sole-runner fast-forward) and analytic macro-chunk "
-    "coalescing of provably contention-free offload runs; `0` keeps the "
-    "single tuple-heap reference engine (bit-identical results)",
-    "tests/runtime/test_sched_equiv.py",
 )
 REPRO_NO_VERIFY = EnvVar(
     "REPRO_NO_VERIFY", "bool", "0",
@@ -124,7 +116,7 @@ REPRO_SERVE_TIMEOUT_S = EnvVar(
 
 #: every declared variable, in documentation order
 ENV_VARS: Tuple[EnvVar, ...] = (
-    REPRO_FAST, REPRO_JOBS, REPRO_VEC, REPRO_SCHED, REPRO_NO_VERIFY,
+    REPRO_FAST, REPRO_JOBS, REPRO_VEC, REPRO_NO_VERIFY,
     REPRO_TRACE_SPILL, REPRO_SERVE_PORT, REPRO_SERVE_STORE,
     REPRO_SERVE_WORKERS, REPRO_SERVE_TTL_S, REPRO_SERVE_MAX_ROWS,
     REPRO_SERVE_TIMEOUT_S,
@@ -161,11 +153,6 @@ def fast_path_enabled() -> bool:
 def vec_path_enabled() -> bool:
     """True unless ``REPRO_VEC`` is explicitly disabled (0/false/off)."""
     return get_bool(REPRO_VEC, True)
-
-
-def sched_path_enabled() -> bool:
-    """True unless ``REPRO_SCHED`` is explicitly disabled (0/false/off)."""
-    return get_bool(REPRO_SCHED, True)
 
 
 def verification_enabled() -> bool:

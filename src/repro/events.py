@@ -37,11 +37,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import (
-    Any, Callable, Deque, Dict, Generator, Iterator, List, Optional, Tuple,
-)
+from typing import Any, Callable, Deque, Generator, Iterator, List, Optional
 
-from .envcfg import sched_path_enabled
 from .errors import DeadlockError, SimulationError
 
 PS_PER_NS = 1000
@@ -237,51 +234,19 @@ class Channel:
 class Simulator:
     """Discrete-event simulator with generator processes.
 
-    Two interchangeable scheduler cores exist (``REPRO_SCHED``):
-
-    * the **reference** core (``two_level=False``): a single tuple heap
-      ordered by ``(time_ps, seq)``;
-    * the **two-level** core (``two_level=True``, the default): a FIFO
-      run queue for events at the current timestamp in front of a
-      calendar queue — a dict of per-timestamp buckets plus a heap of
-      the distinct pending timestamps. Events scheduled at ``now``
-      (channel rendezvous, immediate wakes) ride the deque for O(1)
-      append/pop, and bucket lists are already in seq order by
-      construction, so draining a bucket needs no sort. A sole-runner
-      fast-forward resumes a process inline after a ``Delay`` when
-      nothing else can possibly run before its wakeup, and non-blocking
-      channel puts/gets continue inline the same way whenever the
-      resume they would schedule at ``now`` would be dispatched next
-      anyway (empty run queue), skipping the schedule/dispatch round
-      trip per rendezvous.
-
-    Both cores dispatch events in exactly the same order — the run
-    queue replicates the heap's sequence-number tie-break because
-    same-timestamp schedules always arrive in increasing seq order —
-    and the equivalence is pinned by ``tests/runtime/test_sched_equiv``.
+    Pending events live on a single tuple heap ordered by
+    ``(time_ps, seq)``: events at equal time dispatch in the order they
+    were scheduled.
     """
 
-    def __init__(self, two_level: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0
         self._seq = 0
         self._processes: List[Process] = []
         self.events_executed = 0
-        #: resumes served inline by the two-level core (sole-runner
-        #: fast-forward on Delay, rendezvous fast path on Put/Get)
-        self.fastforwards = 0
-        #: most events simultaneously pending (heap depth, or run queue
-        #: plus calendar buckets)
+        #: most events simultaneously pending (heap depth)
         self.peak_pending = 0
-        self._pending = 0
-        self._two_level = (
-            sched_path_enabled() if two_level is None else bool(two_level)
-        )
-        # reference core
         self._heap: List[tuple] = []
-        # two-level core
-        self._runq: Deque[tuple] = deque()
-        self._buckets: Dict[int, List[tuple]] = {}
-        self._times: List[int] = []
 
     @property
     def now(self) -> int:
@@ -314,27 +279,10 @@ class Simulator:
 
     def _enqueue(self, time_ps: int, proc: Optional[Process],
                  value: Any) -> None:
-        if not self._two_level:
-            self._seq += 1
-            heapq.heappush(self._heap, (time_ps, self._seq, proc, value))
-            if len(self._heap) > self.peak_pending:
-                self.peak_pending = len(self._heap)
-            return
-        self._pending += 1
-        if self._pending > self.peak_pending:
-            self.peak_pending = self._pending
-        if time_ps <= self._now:
-            # current-timestamp events keep FIFO (== seq) order on the
-            # run queue; schedules never target the past in this model,
-            # so <= now means "now"
-            self._runq.append((proc, value))
-            return
-        bucket = self._buckets.get(time_ps)
-        if bucket is None:
-            self._buckets[time_ps] = [(proc, value)]
-            heapq.heappush(self._times, time_ps)
-        else:
-            bucket.append((proc, value))
+        self._seq += 1
+        heapq.heappush(self._heap, (time_ps, self._seq, proc, value))
+        if len(self._heap) > self.peak_pending:
+            self.peak_pending = len(self._heap)
 
     def _step(self, proc: Process, value: Any) -> None:
         try:
@@ -362,11 +310,7 @@ class Simulator:
         resumed by calling :meth:`run` again) once every event at or
         before the horizon has executed; no event is lost at the pause.
         """
-        if self._two_level:
-            finished = self._run_two_level(until_ps, max_events)
-        else:
-            finished = self._run_heap(until_ps, max_events)
-        if not finished:
+        if not self._run_heap(until_ps, max_events):
             return self._now  # paused at the horizon, events remain
         blocked = [
             p for p in self._processes
@@ -426,177 +370,6 @@ class Simulator:
                 self._now = until_ps
                 return False
             self._now = time_ps
-            self.events_executed += 1
-            if (max_events is not None
-                    and self.events_executed > max_events):
-                raise SimulationError(
-                    f"exceeded max_events={max_events} at t={self._now}ps"
-                )
-            if proc is None:
-                value()  # plain callback
-            else:
-                self._step(proc, value)
-        return True
-
-    def _run_two_level(self, until_ps: Optional[int],
-                       max_events: Optional[int]) -> bool:
-        """Two-level dispatch; returns False on horizon pause."""
-        runq = self._runq
-        buckets = self._buckets
-        times = self._times
-        if until_ps is None and max_events is None:
-            pop_time = heapq.heappop
-            executed = 0
-            forwards = 0
-            try:
-                while True:
-                    if runq:
-                        proc, value = runq.popleft()
-                    else:
-                        if not times:
-                            break
-                        t = pop_time(times)
-                        self._now = t
-                        bucket = buckets.pop(t)
-                        if len(bucket) > 1:
-                            runq.extend(bucket)
-                            proc, value = runq.popleft()
-                        else:
-                            proc, value = bucket[0]
-                    self._pending -= 1
-                    executed += 1
-                    if proc is None:
-                        value()  # plain callback
-                        continue
-                    while True:
-                        try:
-                            cmd = proc._gen.send(value)
-                        except StopIteration as stop:
-                            proc.done = True
-                            proc.result = stop.value
-                            for waiter in proc._waiters:
-                                self._schedule(self._now, waiter, stop.value)
-                            proc._waiters.clear()
-                            break
-                        cls = cmd.__class__
-                        if cls is Delay:
-                            wake = self._now + cmd.ps
-                            if not runq and (not times or wake < times[0]):
-                                # sole-runner fast-forward: nothing else
-                                # can run before this wakeup, so advance
-                                # time and resume inline
-                                self._now = wake
-                                executed += 1
-                                forwards += 1
-                                value = None
-                                continue
-                            self._schedule(wake, proc, None)
-                            break
-                        if cls is Put:
-                            # inline rendezvous: a non-blocking put's
-                            # resume is scheduled at `now`, so when the
-                            # run queue is empty it is dispatched next
-                            # anyway — continue the generator in place.
-                            # With a parked getter the getter's resume
-                            # precedes the putter's, so the getter
-                            # continues inline and the putter rides the
-                            # run queue right behind it. Event order is
-                            # identical to the reference core either way.
-                            ch = cmd.channel
-                            cap = ch.capacity
-                            items = ch._items
-                            if cap is not None and len(items) >= cap:
-                                proc.blocked_on = ("put", ch)
-                                ch._putters.append((proc, cmd.item))
-                                break
-                            ch.total_puts += 1
-                            if ch._getters:
-                                getter = ch._getters.popleft()
-                                getter.blocked_on = None
-                                ch.total_gets += 1
-                                if runq:
-                                    runq.append((getter, cmd.item))
-                                    runq.append((proc, None))
-                                    pend = self._pending + 2
-                                    self._pending = pend
-                                    if pend > self.peak_pending:
-                                        self.peak_pending = pend
-                                    break
-                                runq.append((proc, None))
-                                pend = self._pending + 1
-                                self._pending = pend
-                                if pend > self.peak_pending:
-                                    self.peak_pending = pend
-                                proc, value = getter, cmd.item
-                                executed += 1
-                                forwards += 1
-                                continue
-                            items.append(cmd.item)
-                            if len(items) > ch.max_occupancy:
-                                ch.max_occupancy = len(items)
-                            if runq:
-                                runq.append((proc, None))
-                                pend = self._pending + 1
-                                self._pending = pend
-                                if pend > self.peak_pending:
-                                    self.peak_pending = pend
-                                break
-                            executed += 1
-                            forwards += 1
-                            value = None
-                            continue
-                        if cls is Get:
-                            # inline rendezvous, get side: the getter's
-                            # resume precedes any putters drained into
-                            # the freed slot, so with an empty run queue
-                            # the getter continues inline after the
-                            # drained putters are queued behind it
-                            ch = cmd.channel
-                            items = ch._items
-                            if items:
-                                item = items.popleft()
-                                ch.total_gets += 1
-                                if runq:
-                                    runq.append((proc, item))
-                                    pend = self._pending + 1
-                                    self._pending = pend
-                                    if pend > self.peak_pending:
-                                        self.peak_pending = pend
-                                    if ch._putters:
-                                        ch._drain_putters()
-                                    break
-                                if ch._putters:
-                                    ch._drain_putters()
-                                executed += 1
-                                forwards += 1
-                                value = item
-                                continue
-                            proc.blocked_on = ("get", ch)
-                            ch._getters.append(proc)
-                            break
-                        if isinstance(cmd, Command):
-                            cmd.arm(self, proc)
-                            break
-                        raise SimulationError(
-                            f"process {proc.name!r} yielded {cmd!r}, "
-                            f"expected a Command"
-                        )
-            finally:
-                self.events_executed += executed
-                self.fastforwards += forwards
-            return True
-        while True:
-            if not runq:
-                if not times:
-                    break
-                if until_ps is not None and times[0] > until_ps:
-                    self._now = until_ps
-                    return False
-                t = heapq.heappop(times)
-                self._now = t
-                runq.extend(buckets.pop(t))
-            proc, value = runq.popleft()
-            self._pending -= 1
             self.events_executed += 1
             if (max_events is not None
                     and self.events_executed > max_events):

@@ -828,7 +828,7 @@ class VecInterpreter:
 
 def make_interpreter(record_trace: bool = False):
     """The functional interpreter the current env config selects."""
-    from ..vecpath import vec_path_enabled
+    from ..envcfg import vec_path_enabled
 
     if vec_path_enabled():
         return VecInterpreter(record_trace=record_trace)

@@ -22,25 +22,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..energy import EnergyLedger
+from ..envcfg import vec_path_enabled
 from ..events import ps_to_cycles
 from ..noc import Mesh, MessageKind, TrafficLedger
 from ..obs import OBS
 from ..params import CacheParams, MachineParams
-from ..vecpath import vec_path_enabled
 from .cache import Cache
 from .dram import Dram
 from .nuca import NucaL3
 from .prefetch import StridePrefetcher
-
-#: accelerator chunk batches below this length take the scalar walk
-#: even under ``REPRO_VEC`` — the per-call array setup costs more than
-#: it saves (chunks are frequently a single line or element)
-_ACCEL_BATCH_VEC_MIN = 10**9
-
-#: segment-coalesced (``seg_ends``) batches at least this long take the
-#: per-home vectorized walk; per-access latencies are materialized as an
-#: array and cut into per-segment subtotals by prefix sums
-_SEG_VEC_MIN = 48
 
 
 @dataclass
@@ -829,20 +819,12 @@ class MemoryHierarchy:
 
     def accel_line_fetch_batch(self, local_cluster: int,
                                line_addrs: np.ndarray,
-                               is_write: bool,
-                               seg_ends: Optional[np.ndarray] = None):
+                               is_write: bool) -> int:
         """Line-granular fill/drain of a chunk (see
-        :meth:`accel_line_fetch`); returns total latency cycles.
-
-        With ``seg_ends`` (ascending exclusive end offsets into
-        ``line_addrs``) the call covers several coalesced chunks in one
-        widened pass and returns the per-segment latency subtotals
-        instead — state transitions stay in program order and the pooled
-        accounting is identical to per-segment calls.
-        """
+        :meth:`accel_line_fetch`); returns total latency cycles."""
         n = len(line_addrs)
         if n == 0:
-            return 0 if seg_ends is None else [0] * len(seg_ends)
+            return 0
         m = self.machine
         line = self._line
         freq = m.core.freq_ghz
@@ -857,131 +839,10 @@ class MemoryHierarchy:
         conv: Dict[int, int] = {}
         total = 0
         moved = 0
-        seg_totals: List[int] = []
         pool = self._open_dram_pool()
         try:
-            if seg_ends is not None and n >= _SEG_VEC_MIN:
-                # per-home set-level walk (same argument as the vec
-                # branch below: slices are independent state machines,
-                # DRAM side effects pool commutatively), materializing
-                # per-access latencies so prefix sums recover the exact
-                # per-segment subtotals of the scalar walk
-                homes = (line_addrs // stripe) % ncl
-                lat_arr = np.zeros(n, dtype=np.int64)
-                dpool = self._dram_pool
-                uniq, first = np.unique(homes, return_index=True)
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, line) if is_write
-                           else lat_of(home, local_cluster, line)),
-                        freq,
-                    )
-                    if home == local_cluster:
-                        base = 1 + bank_lat + conv[home]
-                    else:
-                        base = 1 + l3_lat + conv[home]
-                        moved += k * line
-                    slc = slices[home]
-                    hit, _vline, vdirty = slc.access_batch(
-                        line_addrs[sel] >> slc.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    wbs = int(vdirty.sum())
-                    if wbs:
-                        dpool.wbs[home] = dpool.wbs.get(home, 0) + wbs
-                    if not is_write:
-                        miss = ~hit
-                        fills = int(miss.sum())
-                        if fills:
-                            fl = self._dram_fill(home)  # pools one fill
-                            dpool.fills[home] += fills - 1
-                            lat_arr[sel] = base + fl * miss
-                            continue
-                    lat_arr[sel] = base
-                csum = np.concatenate(([0], np.cumsum(lat_arr)))
-                bounds = np.concatenate(
-                    ([0], np.asarray(seg_ends, dtype=np.int64))
-                )
-                seg_totals = np.diff(csum[bounds]).tolist()
-            elif seg_ends is not None:
-                prev_total = 0
-                pos = 0
-                for end in (seg_ends.tolist()
-                            if isinstance(seg_ends, np.ndarray)
-                            else seg_ends):
-                    end = int(end)
-                    for addr in line_addrs[pos:end].tolist():
-                        home = (addr // stripe) % ncl
-                        seen = counts.get(home)
-                        if seen is None:
-                            counts[home] = 1
-                            conv[home] = _ps_to_cycles_int(
-                                lat_of(local_cluster, home, 0)
-                                + (lat_of(local_cluster, home, line)
-                                   if is_write
-                                   else lat_of(home, local_cluster, line)),
-                                freq,
-                            )
-                        else:
-                            counts[home] = seen + 1
-                        if home == local_cluster:
-                            total += 1 + bank_lat + conv[home]
-                        else:
-                            total += 1 + l3_lat + conv[home]
-                            moved += line
-                        out = slices[home].access(addr, is_write)
-                        ev = out.evicted
-                        if ev is not None and ev[1]:
-                            self._writeback_to_dram(home)
-                        if not out.hit and not is_write:
-                            total += self._dram_fill(home)
-                    seg_totals.append(total - prev_total)
-                    prev_total = total
-                    pos = end
-            elif n >= _ACCEL_BATCH_VEC_MIN and vec_path_enabled():
-                # set-level walk per home slice: the L3 slices are
-                # independent state machines, so grouping by home (in
-                # first-touch order, program order within a home) is
-                # bit-identical to the interleaved scalar loop — all
-                # DRAM side effects are pooled commutative counters
-                homes = (line_addrs // stripe) % ncl
-                uniq, first = np.unique(homes, return_index=True)
-                dpool = self._dram_pool
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, line) if is_write
-                           else lat_of(home, local_cluster, line)),
-                        freq,
-                    )
-                    if home == local_cluster:
-                        total += k * (1 + bank_lat + conv[home])
-                    else:
-                        total += k * (1 + l3_lat + conv[home])
-                        moved += k * line
-                    slc = l3.slices[home]
-                    hit, _vline, vdirty = slc.access_batch(
-                        line_addrs[sel] >> slc.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    wbs = int(vdirty.sum())
-                    if wbs:
-                        dpool.wbs[home] = dpool.wbs.get(home, 0) + wbs
-                    if not is_write:
-                        fills = k - int(hit.sum())
-                        if fills:
-                            lat = self._dram_fill(home)  # counts one fill
-                            dpool.fills[home] += fills - 1
-                            total += lat * fills
-            elif (addr_list := line_addrs.tolist()) and (
-                    min(addr_list) // stripe == max(addr_list) // stripe):
+            addr_list = line_addrs.tolist()
+            if min(addr_list) // stripe == max(addr_list) // stripe:
                 # whole chunk lives in one stripe block (the common case:
                 # chunks are short, stripes are large): hoist the per-line
                 # home math and bookkeeping out of the walk
@@ -1048,19 +909,24 @@ class MemoryHierarchy:
                 self._record(MessageKind.ACC_OPERAND, home,
                              local_cluster, line, count)
         self.movement_bytes += moved
-        return seg_totals if seg_ends is not None else total
+        return total
 
-    def _acp_elem_walk(self, addr_list, local_cluster: int, is_write: bool,
-                       elem_bytes: int, counts: Dict[int, int],
-                       conv: Dict[int, int], total: int, n_l3: int,
-                       moved: int):
-        """Program-order element walk for :meth:`accel_elem_access_batch`
-        with same-line run collapsing: after the first access of a run of
-        consecutive same-line addresses the line is the ACP's resident MRU
-        line, so the remaining ``k-1`` accesses are guaranteed hits with
-        no L3 side — accounted in bulk via :meth:`Cache.touch_resident`
-        and ``k-1``-scaled arithmetic, bit-identical to the scalar loop.
+    def accel_elem_access_batch(self, local_cluster: int,
+                                addrs: np.ndarray, is_write: bool,
+                                elem_bytes: int) -> int:
+        """Element-granular near-data accesses for a chunk (see
+        :meth:`accel_elem_access`); returns total latency cycles.
+
+        The walk is in program order with same-line run collapsing:
+        after the first access of a run of consecutive same-line
+        addresses the line is the ACP's resident MRU line, so the
+        remaining ``k-1`` accesses are guaranteed hits with no L3 side
+        — accounted in bulk via :meth:`Cache.touch_resident` and
+        ``k-1``-scaled arithmetic, bit-identical to the scalar loop.
         """
+        n = len(addrs)
+        if n == 0:
+            return 0
         m = self.machine
         line = self._line
         freq = m.core.freq_ghz
@@ -1074,99 +940,26 @@ class MemoryHierarchy:
         shift = acps[0].line_shift
         # same line => same home only when stripes are line-aligned
         collapse = stripe % (1 << shift) == 0
-        n = len(addr_list)
-        i = 0
-        while i < n:
-            addr = addr_list[i]
-            j = i + 1
-            if collapse:
-                ln = addr >> shift
-                while j < n and addr_list[j] >> shift == ln:
-                    j += 1
-            k = j - i
-            home = (addr // stripe) % ncl
-            seen = counts.get(home)
-            if seen is None:
-                counts[home] = k
-                conv[home] = _ps_to_cycles_int(
-                    lat_of(local_cluster, home, 0)
-                    + (lat_of(local_cluster, home, elem_bytes)
-                       if is_write
-                       else lat_of(home, local_cluster, elem_bytes)),
-                    freq,
-                )
-            else:
-                counts[home] = seen + k
-            if home != local_cluster:
-                moved += k * elem_bytes
-            total += k * (1 + conv[home])
-            out = acps[home].access(addr, is_write)
-            if k > 1:
-                acps[home].touch_resident(addr, is_write, k - 1)
-            ev = out.evicted
-            if ev is not None and ev[1]:
-                # dirty line retires into the local bank
-                n_l3 += 1
-                evicted = l3.fill(ev[0] * line, dirty=True)
-                if evicted and evicted[1]:
-                    self._writeback_to_dram(home)
-            i = j
-            if out.hit:
-                continue
-            n_l3 += 1
-            total += bank_lat
-            out3 = slices[home].access(addr, is_write=False)
-            ev3 = out3.evicted
-            if ev3 is not None and ev3[1]:
-                self._writeback_to_dram(home)
-            if not out3.hit:
-                total += self._dram_fill(home)
-        return total, n_l3, moved
-
-    def accel_elem_access_batch(self, local_cluster: int,
-                                addrs: np.ndarray, is_write: bool,
-                                elem_bytes: int,
-                                seg_ends: Optional[np.ndarray] = None):
-        """Element-granular near-data accesses for a chunk (see
-        :meth:`accel_elem_access`); returns total latency cycles.
-
-        With ``seg_ends`` (ascending exclusive end offsets into
-        ``addrs``) the call covers several coalesced chunks at once and
-        returns per-segment latency subtotals — identical state
-        transitions and pooled accounting as per-segment calls.
-        """
-        n = len(addrs)
-        if n == 0:
-            return 0 if seg_ends is None else [0] * len(seg_ends)
-        m = self.machine
-        line = self._line
-        freq = m.core.freq_ghz
-        l3 = self.l3
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        acps = self.acps
-        lat_of = self.traffic.latency_of
-        bank_lat = m.l3_bank_latency
         counts: Dict[int, int] = {}
         conv: Dict[int, int] = {}
         n_l3 = 0  # miss-side bank reads + dirty ACP retires
         total = 0
         moved = 0
-        seg_totals: List[int] = []
+        addr_list = addrs.tolist()
         pool = self._open_dram_pool()
         try:
-            if seg_ends is not None and n >= _SEG_VEC_MIN:
-                # per-home grouped walk (see the vec branch below for the
-                # identity argument: an ACP and its victims/misses only
-                # touch the home cluster's L3 slice), materializing
-                # per-access latencies so prefix sums recover the exact
-                # per-segment subtotals of the scalar walk
-                homes = (addrs // stripe) % ncl
-                lat_arr = np.zeros(n, dtype=np.int64)
-                uniq, first = np.unique(homes, return_index=True)
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
+            i = 0
+            while i < n:
+                addr = addr_list[i]
+                j = i + 1
+                if collapse:
+                    ln = addr >> shift
+                    while j < n and addr_list[j] >> shift == ln:
+                        j += 1
+                k = j - i
+                home = (addr // stripe) % ncl
+                seen = counts.get(home)
+                if seen is None:
                     counts[home] = k
                     conv[home] = _ps_to_cycles_int(
                         lat_of(local_cluster, home, 0)
@@ -1175,107 +968,32 @@ class MemoryHierarchy:
                            else lat_of(home, local_cluster, elem_bytes)),
                         freq,
                     )
-                    if home != local_cluster:
-                        moved += k * elem_bytes
-                    acp = acps[home]
-                    sel_addrs = addrs[sel]
-                    hit, vline, vdirty = acp.access_batch(
-                        sel_addrs >> acp.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    miss_pos = np.flatnonzero(~hit)
-                    n_l3 += int(vdirty.sum()) + len(miss_pos)
-                    lat_arr[sel] = 1 + conv[home]
-                    if len(miss_pos):
-                        slc = l3.slices[home]
-                        extra = np.full(len(miss_pos), bank_lat,
-                                        dtype=np.int64)
-                        for t, (addr, vd, vl) in enumerate(zip(
-                                sel_addrs[miss_pos].tolist(),
-                                vdirty[miss_pos].tolist(),
-                                vline[miss_pos].tolist())):
-                            if vd:
-                                evicted = l3.fill(vl * line, dirty=True)
-                                if evicted and evicted[1]:
-                                    self._writeback_to_dram(home)
-                            out3 = slc.access(addr, is_write=False)
-                            ev3 = out3.evicted
-                            if ev3 is not None and ev3[1]:
-                                self._writeback_to_dram(home)
-                            if not out3.hit:
-                                extra[t] += self._dram_fill(home)
-                        lat_arr[sel[miss_pos]] += extra
-                csum = np.concatenate(([0], np.cumsum(lat_arr)))
-                bounds = np.concatenate(
-                    ([0], np.asarray(seg_ends, dtype=np.int64))
-                )
-                seg_totals = np.diff(csum[bounds]).tolist()
-            elif seg_ends is not None:
-                prev_total = 0
-                pos = 0
-                for end in (seg_ends.tolist()
-                            if isinstance(seg_ends, np.ndarray)
-                            else seg_ends):
-                    end = int(end)
-                    total, n_l3, moved = self._acp_elem_walk(
-                        addrs[pos:end].tolist(), local_cluster, is_write,
-                        elem_bytes, counts, conv, total, n_l3, moved,
-                    )
-                    seg_totals.append(total - prev_total)
-                    prev_total = total
-                    pos = end
-            elif n >= _ACCEL_BATCH_VEC_MIN and vec_path_enabled():
-                # group by home ACP: an ACP only caches addresses of its
-                # own stripe, so its victims retire into the same home's
-                # L3 slice — per-home groups never interleave L3 state,
-                # and the walk is bit-identical to the scalar loop.
-                # Phase A advances the ACP vectorized; Phase B visits
-                # only ACP misses (the L3/DRAM side) in program order.
-                homes = (addrs // stripe) % ncl
-                uniq, first = np.unique(homes, return_index=True)
-                for home in uniq[np.argsort(first)].tolist():
-                    sel = np.flatnonzero(homes == home)
-                    k = len(sel)
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, elem_bytes)
-                           if is_write
-                           else lat_of(home, local_cluster, elem_bytes)),
-                        freq,
-                    )
-                    if home != local_cluster:
-                        moved += k * elem_bytes
-                    total += k * (1 + conv[home])
-                    acp = acps[home]
-                    sel_addrs = addrs[sel]
-                    hit, vline, vdirty = acp.access_batch(
-                        sel_addrs >> acp.line_shift,
-                        np.full(k, is_write, dtype=bool),
-                    )
-                    miss_pos = np.flatnonzero(~hit)
-                    n_l3 += int(vdirty.sum()) + len(miss_pos)
-                    total += bank_lat * len(miss_pos)
-                    for j, addr, vd, vl in zip(
-                            miss_pos.tolist(),
-                            sel_addrs[miss_pos].tolist(),
-                            vdirty[miss_pos].tolist(),
-                            vline[miss_pos].tolist()):
-                        if vd:
-                            evicted = l3.fill(vl * line, dirty=True)
-                            if evicted and evicted[1]:
-                                self._writeback_to_dram(home)
-                        out3 = l3.access(addr, is_write=False)
-                        ev3 = out3.evicted
-                        if ev3 is not None and ev3[1]:
-                            self._writeback_to_dram(home)
-                        if not out3.hit:
-                            total += self._dram_fill(home)
-            else:
-                total, n_l3, moved = self._acp_elem_walk(
-                    addrs.tolist(), local_cluster, is_write, elem_bytes,
-                    counts, conv, total, n_l3, moved,
-                )
+                else:
+                    counts[home] = seen + k
+                if home != local_cluster:
+                    moved += k * elem_bytes
+                total += k * (1 + conv[home])
+                out = acps[home].access(addr, is_write)
+                if k > 1:
+                    acps[home].touch_resident(addr, is_write, k - 1)
+                ev = out.evicted
+                if ev is not None and ev[1]:
+                    # dirty line retires into the local bank
+                    n_l3 += 1
+                    evicted = l3.fill(ev[0] * line, dirty=True)
+                    if evicted and evicted[1]:
+                        self._writeback_to_dram(home)
+                i = j
+                if out.hit:
+                    continue
+                n_l3 += 1
+                total += bank_lat
+                out3 = slices[home].access(addr, is_write=False)
+                ev3 = out3.evicted
+                if ev3 is not None and ev3[1]:
+                    self._writeback_to_dram(home)
+                if not out3.hit:
+                    total += self._dram_fill(home)
         finally:
             if pool is not None:
                 self._flush_dram_pool(pool)
@@ -1292,7 +1010,7 @@ class MemoryHierarchy:
                 self._record(MessageKind.ACC_OPERAND, home,
                              local_cluster, elem_bytes, count)
         self.movement_bytes += moved
-        return seg_totals if seg_ends is not None else total
+        return total
 
     def l3_demand_batch(self, from_node: int,
                         as_accel: bool = False) -> "L3DemandWindow":

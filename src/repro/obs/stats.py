@@ -7,11 +7,14 @@ simulated-machine state: nothing in it may influence simulation results,
 only describe them. Snapshots are plain picklable dicts so worker
 processes of the parallel experiment runner can ship their stats back to
 the parent, which merges them (counters add, maxima take the max, cell
-records concatenate).
+records concatenate). Recording, snapshots, merges and resets hold one
+registry lock, so handler and worker threads of the sweep service can
+report concurrently without losing updates.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,14 +45,17 @@ class StatsRegistry:
         #: name -> [total_seconds, invocations]
         self.timers: Dict[str, List[float]] = {}
         self.cells: List[CellStat] = []
+        self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
     def inc(self, name: str, n: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + n
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0.0) + n
 
     def observe_max(self, name: str, value: float) -> None:
-        if value > self.maxima.get(name, float("-inf")):
-            self.maxima[name] = value
+        with self._lock:
+            if value > self.maxima.get(name, float("-inf")):
+                self.maxima[name] = value
 
     @contextmanager
     def time(self, name: str) -> Iterator[None]:
@@ -62,12 +68,14 @@ class StatsRegistry:
     def add_time(self, name: str, seconds: float) -> None:
         """Record one already-measured duration (for spans that start
         and end on different threads, e.g. serve queue latency)."""
-        entry = self.timers.setdefault(name, [0.0, 0])
-        entry[0] += seconds
-        entry[1] += 1
+        with self._lock:
+            entry = self.timers.setdefault(name, [0.0, 0])
+            entry[0] += seconds
+            entry[1] += 1
 
     def add_cell(self, cell: CellStat) -> None:
-        self.cells.append(cell)
+        with self._lock:
+            self.cells.append(cell)
 
     # -- queries -----------------------------------------------------------
     def counter(self, name: str) -> float:
@@ -75,32 +83,38 @@ class StatsRegistry:
 
     # -- lifecycle ---------------------------------------------------------
     def reset(self) -> None:
-        self.counters.clear()
-        self.maxima.clear()
-        self.timers.clear()
-        self.cells.clear()
+        with self._lock:
+            self.counters.clear()
+            self.maxima.clear()
+            self.timers.clear()
+            self.cells.clear()
 
     def snapshot(self) -> dict:
         """Picklable copy of everything recorded so far."""
-        return {
-            "counters": dict(self.counters),
-            "maxima": dict(self.maxima),
-            "timers": {k: list(v) for k, v in self.timers.items()},
-            "cells": [c.as_tuple() for c in self.cells],
-        }
+        with self._lock:
+            return {
+                "counters": dict(self.counters),
+                "maxima": dict(self.maxima),
+                "timers": {k: list(v) for k, v in self.timers.items()},
+                "cells": [c.as_tuple() for c in self.cells],
+            }
 
     def merge(self, snap: dict) -> None:
         """Fold a snapshot (e.g. from a worker process) into this registry."""
-        for name, n in snap.get("counters", {}).items():
-            self.inc(name, n)
-        for name, v in snap.get("maxima", {}).items():
-            self.observe_max(name, v)
-        for name, (total, count) in snap.get("timers", {}).items():
-            entry = self.timers.setdefault(name, [0.0, 0])
-            entry[0] += total
-            entry[1] += count
-        for workload, config, wall_s, trace_elems in snap.get("cells", []):
-            self.add_cell(CellStat(workload, config, wall_s, trace_elems))
+        with self._lock:
+            for name, n in snap.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0.0) + n
+            for name, v in snap.get("maxima", {}).items():
+                if v > self.maxima.get(name, float("-inf")):
+                    self.maxima[name] = v
+            for name, (total, count) in snap.get("timers", {}).items():
+                entry = self.timers.setdefault(name, [0.0, 0])
+                entry[0] += total
+                entry[1] += count
+            for workload, config, wall_s, trace_elems in snap.get("cells",
+                                                                  []):
+                self.cells.append(
+                    CellStat(workload, config, wall_s, trace_elems))
 
     # -- reporting ---------------------------------------------------------
     def report(self, slowest: int = 10) -> str:

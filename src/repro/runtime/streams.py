@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from ..fastpath import fast_path_enabled
+from ..envcfg import fast_path_enabled
 from ..ir.interp import MemAccess
 from ..ir.trace import ColumnarTrace
 

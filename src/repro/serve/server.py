@@ -24,6 +24,7 @@ fail, the service must not.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -88,12 +89,20 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.app  # type: ignore[attr-defined]
 
     def _send(self, status: int, payload: Dict[str, object]) -> None:
+        """Write status line, headers and body in one write: a separate
+        header write followed by a small body stalls keep-alive clients
+        for a delayed-ACK round (~40 ms) under Nagle's algorithm."""
         body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        wfile.write(head + body)
 
     def _body(self) -> Dict[str, object]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -249,7 +258,8 @@ class SweepServer:
         if method == "GET" and path == "/v1/stats":
             h._send(200, {
                 "stats": self.manager.stats(),
-                "counters": {k: v for k, v in OBS.counters.items()
+                "counters": {k: v for k, v in
+                             OBS.snapshot()["counters"].items()
                              if k.startswith("serve.")},
             })
             return True

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from ..energy import EnergyLedger
 from ..events import cycles_to_ps
-from ..fastpath import fast_path_enabled
+from ..envcfg import fast_path_enabled
 from ..ir.interp import MemAccess, OpCounts
 from ..ir.program import Kernel
 from ..ir.trace import ColumnarTrace

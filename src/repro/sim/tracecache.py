@@ -65,7 +65,7 @@ def functional_key(workload: str, scale: str,
     instead of replaying a record produced by the other one, so
     cross-mode comparisons keep their evidentiary value.
     """
-    from ..vecpath import vec_path_enabled
+    from ..envcfg import vec_path_enabled
 
     variant = scale
     if build_kwargs:

@@ -13,20 +13,19 @@ Usage::
 
 Generates structured kernels/workloads (:mod:`repro.testing.genkernel`),
 runs each through every requested execution path under both
-``REPRO_FAST`` pipelines, and checks the differential oracles
-(:mod:`repro.testing.oracle`). With ``--machines``, every case also
-draws a seeded random machine document
+``REPRO_FAST`` pipelines and both ``REPRO_VEC`` interpreters, and checks
+the differential oracles (:mod:`repro.testing.oracle`). With
+``--machines``, every case also draws a seeded random machine document
 (:mod:`repro.testing.genmachine`) and the whole oracle battery —
-including the ``sched-vs-reference`` engine identity and the AN-C
-``static-cost-bounds`` interval checks — runs on that machine instead
-of the default, so random machines x random kernels are crossed in one
-sweep. Failing cases are greedily minimized
+including the AN-C ``static-cost-bounds`` interval checks — runs on that
+machine instead of the default, so random machines x random kernels are
+crossed in one sweep. Failing cases are greedily minimized
 (:mod:`repro.testing.shrink`) and written to ``--corpus-dir`` as JSON
-for deterministic replay; the exit status is nonzero whenever any
-oracle failed. A shape histogram is always reported so a run can prove
-it exercised nested-loop / ``When`` / indirect / reduction kernels and
-not just the easy elementwise ones, alongside the AN-C static-bound
-tally (cases checked / violations) for the interval-soundness oracle.
+for deterministic replay; the exit status is nonzero whenever any oracle
+failed. A shape histogram is always reported so a run can prove it
+exercised nested-loop / ``When`` / indirect / reduction kernels and not
+just the easy elementwise ones, alongside the AN-C static-bound tally
+(cases checked / violations) for the interval-soundness oracle.
 """
 
 from __future__ import annotations
@@ -163,8 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     hist_line = "  ".join(f"{k}={v}" for k, v in hist.items())
     print(f"[fuzz] {len(reports)} cases in {elapsed:.1f}s "
           f"across {len(paths)} paths x {len(oracle.modes)} replay x "
-          f"{len(oracle.vec_modes)} interpreter modes x "
-          f"{len(set(oracle.sched_modes))} scheduler engines")
+          f"{len(oracle.vec_modes)} interpreter modes")
     print(f"[fuzz] shapes: {hist_line}")
     if args.machines:
         mach_line = "  ".join(

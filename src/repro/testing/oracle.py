@@ -18,10 +18,6 @@ tree-walking), and the paths must agree on
 * **cross-path accounting** — for each configuration, the batched and
   scalar pipelines produce the same time, instruction, memory-op,
   cache-access, NoC and energy-ledger numbers, counter for counter;
-* **engine identity** — the two-level replay scheduler with macro-chunk
-  coalescing (``REPRO_SCHED=1``) reproduces the tuple-heap reference
-  engine's every counter exactly (the scheduler changes how events are
-  dispatched, never the timed behavior);
 * **conservation** — functional quantities that are configuration-
   independent stay put: ``mem_ops`` equals the golden dynamic
   load+store count in every cell, the OoO baseline's instruction count
@@ -53,10 +49,8 @@ from ..analysis.deps import dependence_findings
 from ..analysis.verifier import verify_kernel
 from ..analysis.findings import errors_of
 from ..errors import ReproError
-from ..fastpath import ENV_VAR as FAST_ENV
+from ..envcfg import REPRO_FAST, REPRO_VEC
 from ..params import MachineParams, experiment_machine
-from ..schedpath import ENV_VAR as SCHED_ENV
-from ..vecpath import ENV_VAR as VEC_ENV
 from ..sim.results import RunResult
 from ..sim.system import simulate_workload
 from ..sim.tracecache import TraceCache
@@ -110,15 +104,11 @@ def _env_mode(var: str, on: bool):
 
 
 def _fast_mode(fast: bool):
-    return _env_mode(FAST_ENV, fast)
+    return _env_mode(REPRO_FAST.name, fast)
 
 
 def _vec_mode(vec: bool):
-    return _env_mode(VEC_ENV, vec)
-
-
-def _sched_mode(sched: bool):
-    return _env_mode(SCHED_ENV, sched)
+    return _env_mode(REPRO_VEC.name, vec)
 
 
 def _metric_signature(r: RunResult) -> Dict[str, object]:
@@ -143,8 +133,7 @@ class DifferentialOracle:
     def __init__(self, paths: Sequence[str] = DEFAULT_PATHS,
                  machine: Optional[MachineParams] = None,
                  modes: Tuple[bool, ...] = (True, False),
-                 vec_modes: Tuple[bool, ...] = (True, False),
-                 sched_modes: Tuple[bool, ...] = (True, False)):
+                 vec_modes: Tuple[bool, ...] = (True, False)):
         self.paths = tuple(paths)
         self.machine = machine or experiment_machine()
         #: REPRO_FAST replay modes to cross (batched vs scalar replay)
@@ -152,12 +141,6 @@ class DifferentialOracle:
         #: REPRO_VEC interpreter modes to cross (vectorized vs scalar
         #: tree-walking interpretation)
         self.vec_modes = vec_modes
-        #: REPRO_SCHED engine modes to cross (two-level scheduler +
-        #: macro-chunk coalescing vs the tuple-heap reference engine);
-        #: the reference engine is checked once per config at the
-        #: primary (fast, vec) mode rather than fully crossed — the
-        #: scheduler core is orthogonal to the replay/interpreter axes
-        self.sched_modes = sched_modes
 
     # ------------------------------------------------------------------
     def _machine_for(self, case: GeneratedCase) -> MachineParams:
@@ -184,7 +167,6 @@ class DifferentialOracle:
         runs = self._simulate_all(case, failures)
         self._check_outputs(case, golden, runs, failures)
         self._check_cross_path(case, runs, failures)
-        self._check_sched_identity(case, runs, failures)
         self._check_conservation(case, counts, runs, failures)
         self._check_static_bounds(case, runs, failures)
         return OracleReport(case.name, case.shape, failures, self.paths)
@@ -242,7 +224,7 @@ class DifferentialOracle:
         cache = TraceCache(max_entries=1)
         for vec in self.vec_modes:
             variant = "fuzz" if vec else "fuzz+scalar"
-            with _vec_mode(vec), _sched_mode(self.sched_modes[0]):
+            with _vec_mode(vec):
                 for fast in self.modes:
                     with _fast_mode(fast):
                         for config in self.paths:
@@ -314,59 +296,6 @@ class DifferentialOracle:
                     if vec is not None and scalar is not None:
                         compare("vec-vs-scalar", config, vec, scalar,
                                 "vec", "scalar")
-
-    # ------------------------------------------------------------------
-    def _check_sched_identity(self, case: GeneratedCase,
-                              runs: Dict[Tuple[str, bool, bool], RunResult],
-                              failures: List[OracleFailure]) -> None:
-        """Two-level engine vs the tuple-heap reference, counter for
-        counter.
-
-        Every cell in ``runs`` was simulated under the primary
-        ``REPRO_SCHED`` mode (the two-level scheduler with macro-chunk
-        coalescing, by default). Here each config is re-simulated once
-        under the secondary mode (the reference engine) at the primary
-        (fast, vec) point and compared field by field — the scheduler
-        core only changes *how* events are dispatched, never the timed
-        behavior, so exact equality is the contract.
-        """
-        distinct = set(self.sched_modes)
-        if len(distinct) < 2:
-            return
-        fast, vec = self.modes[0], self.vec_modes[0]
-        variant = "fuzz" if vec else "fuzz+scalar"
-        other = self.sched_modes[1]
-        machine = self._machine_for(case)
-        cache = TraceCache(max_entries=1)
-        with _vec_mode(vec), _fast_mode(fast), _sched_mode(other):
-            for config in self.paths:
-                base = runs.get((config, fast, vec))
-                if base is None:
-                    continue
-                try:
-                    ref = simulate_workload(
-                        case.instance(), config,
-                        machine=machine,
-                        trace_cache=cache,
-                        trace_key=(case.name, variant),
-                    )
-                except Exception as exc:  # crashes are findings
-                    failures.append(OracleFailure(
-                        case.name, "sched-simulates", config,
-                        f"sched={int(other)}: {type(exc).__name__}: {exc}",
-                    ))
-                    continue
-                sig_a = _metric_signature(base)
-                sig_b = _metric_signature(ref)
-                for field in sig_a:
-                    if sig_a[field] != sig_b[field]:
-                        failures.append(OracleFailure(
-                            case.name, "sched-vs-reference", config,
-                            f"{field} diverged: "
-                            f"sched={int(self.sched_modes[0])}="
-                            f"{sig_a[field]!r} "
-                            f"sched={int(other)}={sig_b[field]!r}",
-                        ))
 
     # ------------------------------------------------------------------
     def _check_conservation(self, case: GeneratedCase, counts,

@@ -1,16 +1,12 @@
-"""Scheduler-core equivalence gate: ``REPRO_SCHED=1`` must be
-bit-identical to the reference tuple-heap engine on every metric a
-figure or table reads.
+"""Event-kernel semantics, checked on both dispatch loops of the core.
 
-This is the acceptance test for the two-level replay scheduler (FIFO
-run queue + calendar buckets, sole-runner fast-forward, inline channel
-rendezvous) and the macro-chunk coalescing replay: four workloads of
-different shapes are simulated under all six configurations twice —
-once per scheduler core — and every cell is compared field by field,
-including the float energy totals (exact equality, not approx).
-
-The second half pins the event-kernel *semantics* both cores must
-agree on: putter FIFO order under a full channel, getter wake order,
+``Simulator._run_heap`` has two loops over the same ``(time_ps, seq)``
+tuple heap: a specialised loop for the unbounded ``run()`` every offload
+replay takes, and the general loop that honours ``until_ps`` and
+``max_events``. Each case below runs once per loop (``bounded=False``
+is the specialised loop, ``bounded=True`` forces the general one with a
+``max_events`` limit that is never reached) and pins the semantics both
+must keep: putter FIFO order under a full channel, getter wake order,
 ``WaitProcess`` on an already-finished process, daemon-vs-deadlock
 classification, ``call_at`` vs process ordering at equal timestamps,
 and the ``run(until_ps=...)`` pause/resume contract (the popped
@@ -18,8 +14,6 @@ over-horizon event must not be lost).
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
 from repro.events import (
@@ -30,81 +24,25 @@ from repro.events import (
     Simulator,
     WaitProcess,
 )
-from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
-from repro.schedpath import ENV_VAR, sched_path_enabled
 
-WORKLOADS = ("fdt", "bfs", "dis", "spmv")
-CONFIGS = (BASELINE,) + PAPER_CONFIGS
+#: both dispatch loops: unbounded fast loop, general bounded loop
+LOOPS = (False, True)
 
-#: both scheduler cores, by the Simulator(two_level=...) override
-CORES = (False, True)
+#: a max_events limit no case here comes near
+NEVER_REACHED = 10**6
 
 
-def run_matrix_mode(monkeypatch, sched: bool):
-    monkeypatch.setenv(ENV_VAR, "1" if sched else "0")
-    assert sched_path_enabled() is sched
-    return ResultMatrix(
-        scale="tiny", workloads=WORKLOADS, configs=CONFIGS
-    ).run_all()
+def run(sim, bounded, until_ps=None):
+    if bounded:
+        return sim.run(until_ps=until_ps, max_events=NEVER_REACHED)
+    return sim.run(until_ps=until_ps)
 
 
-@pytest.fixture(scope="module")
-def both_engines():
-    mp = pytest.MonkeyPatch()
-    try:
-        sched = run_matrix_mode(mp, sched=True)
-        reference = run_matrix_mode(mp, sched=False)
-    finally:
-        mp.undo()
-    return sched, reference
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("config", CONFIGS)
-def test_sched_engine_bit_identical(both_engines, workload, config):
-    sched, reference = both_engines
-    s = sched.results[(workload, config)]
-    r = reference.results[(workload, config)]
-    assert s.time_ps == r.time_ps
-    assert s.insts == r.insts
-    assert s.mem_ops == r.mem_ops
-    assert s.energy_nj == r.energy_nj  # exact, not approx
-    assert s.movement_bytes == r.movement_bytes
-    assert s.mmio_bytes == r.mmio_bytes
-    assert s.accel_iterations == r.accel_iterations
-    assert s.validated and r.validated
-    assert s.traffic_breakdown == r.traffic_breakdown
-    assert s.cache_stats.as_dict() == r.cache_stats.as_dict()
-    assert s.energy.by_event() == r.energy.by_event()
-
-
-def test_sched_path_defaults_on(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert sched_path_enabled() is True
-    assert Simulator()._two_level is True
-
-
-def test_sched_path_env_off(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "0")
-    assert sched_path_enabled() is False
-    assert Simulator()._two_level is False
-
-
-def test_explicit_core_overrides_env(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "0")
-    assert Simulator(two_level=True)._two_level is True
-    monkeypatch.setenv(ENV_VAR, "1")
-    assert Simulator(two_level=False)._two_level is False
-
-
-# ---------------------------------------------------------------------------
-# event-kernel semantics both cores must preserve
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("two_level", CORES)
+@pytest.mark.parametrize("bounded", LOOPS)
 class TestKernelSemantics:
-    def test_putter_fifo_under_full_channel(self, two_level):
+    def test_putter_fifo_under_full_channel(self, bounded):
         """Blocked putters are released in arrival order, one per slot."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         ch = Channel(sim, capacity=1, name="narrow")
         log = []
 
@@ -121,7 +59,7 @@ class TestKernelSemantics:
         for tag in ("a", "b", "c", "d"):
             sim.spawn(f"put-{tag}", putter(tag))
         sim.spawn("cons", consumer())
-        sim.run()
+        run(sim, bounded)
         assert [e for e in log if e[0] == "got"] == [
             ("got", "a", 100), ("got", "b", 200),
             ("got", "c", 300), ("got", "d", 400),
@@ -132,9 +70,9 @@ class TestKernelSemantics:
             "a", "b", "c", "d",
         ]
 
-    def test_getter_wake_order(self, two_level):
+    def test_getter_wake_order(self, bounded):
         """Getters parked on an empty channel wake in arrival order."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         ch = Channel(sim, name="feed")
         woke = []
 
@@ -150,13 +88,13 @@ class TestKernelSemantics:
         for tag in ("first", "second", "third"):
             sim.spawn(tag, getter(tag))
         sim.spawn("prod", producer())
-        sim.run()
+        run(sim, bounded)
         assert woke == [("first", 0), ("second", 1), ("third", 2)]
 
-    def test_wait_on_already_done_process(self, two_level):
+    def test_wait_on_already_done_process(self, bounded):
         """WaitProcess on a finished process resumes at the current time
         with the stored result."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
 
         def quick():
             yield Delay(10)
@@ -169,11 +107,11 @@ class TestKernelSemantics:
 
         target = sim.spawn("quick", quick())
         sim.spawn("waiter", waiter(target, out := []))
-        sim.run()
+        run(sim, bounded)
         assert out == [(42, 500)]
 
-    def test_daemon_may_block_forever(self, two_level):
-        sim = Simulator(two_level=two_level)
+    def test_daemon_may_block_forever(self, bounded):
+        sim = Simulator()
         ch = Channel(sim, name="sink")
 
         def server():
@@ -186,10 +124,10 @@ class TestKernelSemantics:
 
         sim.spawn("server", server(), daemon=True)
         sim.spawn("client", client())
-        assert sim.run() == 100  # no DeadlockError
+        assert run(sim, bounded) == 100  # no DeadlockError
 
-    def test_non_daemon_blocked_is_deadlock(self, two_level):
-        sim = Simulator(two_level=two_level)
+    def test_non_daemon_blocked_is_deadlock(self, bounded):
+        sim = Simulator()
         ch = Channel(sim, name="stuck")
 
         def starved():
@@ -197,11 +135,11 @@ class TestKernelSemantics:
 
         sim.spawn("starved", starved())
         with pytest.raises(DeadlockError, match=r"starved on get\(stuck\)"):
-            sim.run()
+            run(sim, bounded)
 
-    def test_call_at_vs_process_order_at_equal_time(self, two_level):
-        """Same-timestamp dispatch follows schedule order in both cores."""
-        sim = Simulator(two_level=two_level)
+    def test_call_at_vs_process_order_at_equal_time(self, bounded):
+        """Same-timestamp dispatch follows schedule order."""
+        sim = Simulator()
         log = []
 
         def sleeper():
@@ -211,16 +149,16 @@ class TestKernelSemantics:
         sim.call_at(100, lambda: log.append("cb-early"))
         sim.spawn("sleeper", sleeper())
         sim.call_at(100, lambda: log.append("cb-late"))
-        sim.run()
+        run(sim, bounded)
         # cb-early was enqueued first; the sleeper's wakeup is enqueued
         # when its Delay arms (dispatch at t=0, after cb-late's enqueue)
         assert log == ["cb-early", "cb-late", "proc"]
 
-    def test_run_until_does_not_lose_horizon_event(self, two_level):
+    def test_run_until_does_not_lose_horizon_event(self, bounded):
         """Regression: run(until_ps) used to pop the first over-horizon
         event and return without re-pushing it, so a resumed run lost
         the wakeup entirely."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         log = []
 
         def sleeper():
@@ -230,95 +168,26 @@ class TestKernelSemantics:
         sim.spawn("sleeper", sleeper())
         assert sim.run(until_ps=50) == 50
         assert log == []  # paused before the wakeup, nothing lost
-        assert sim.run() == 100
+        assert run(sim, bounded) == 100
         assert log == [("woke", 100)]
 
-    def test_run_until_executes_events_at_horizon(self, two_level):
-        sim = Simulator(two_level=two_level)
+    def test_run_until_executes_events_at_horizon(self, bounded):
+        sim = Simulator()
         log = []
         sim.call_at(100, lambda: log.append("at"))
         sim.call_at(101, lambda: log.append("past"))
         sim.run(until_ps=100)
         assert log == ["at"]
-        sim.run()
+        run(sim, bounded)
         assert log == ["at", "past"]
 
-    def test_run_until_resume_preserves_order(self, two_level):
+    def test_run_until_resume_preserves_order(self, bounded):
         """Events beyond the horizon fire in original order on resume."""
-        sim = Simulator(two_level=two_level)
+        sim = Simulator()
         log = []
         for tag in ("x", "y", "z"):
             sim.call_at(200, lambda tag=tag: log.append(tag))
         sim.run(until_ps=50)
         assert log == []
-        sim.run()
+        run(sim, bounded)
         assert log == ["x", "y", "z"]
-
-
-def test_observability_counters():
-    """events_executed / peak_pending / fastforwards feed repro.obs."""
-    def pipeline(sim):
-        ch = Channel(sim, capacity=2, name="pipe")
-
-        def producer():
-            for i in range(8):
-                yield Delay(10)
-                yield Put(ch, i)
-
-        def consumer(out):
-            for _ in range(8):
-                out.append((yield Get(ch)))
-
-        sim.spawn("prod", producer())
-        sim.spawn("cons", consumer(out := []))
-        sim.run()
-        return out
-
-    ref = Simulator(two_level=False)
-    two = Simulator(two_level=True)
-    assert pipeline(ref) == pipeline(two) == list(range(8))
-    assert ref.events_executed > 0 and two.events_executed > 0
-    assert ref.peak_pending >= 1 and two.peak_pending >= 1
-    assert ref.fastforwards == 0  # reference core never fast-forwards
-    assert two.fastforwards > 0   # rendezvous/delay fast paths fired
-
-
-# ---------------------------------------------------------------------------
-# property: both cores produce identical timelines on random programs
-# ---------------------------------------------------------------------------
-@settings(deadline=None, max_examples=40)
-@given(
-    delays_p=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
-                      max_size=8),
-    delays_c=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
-                      max_size=8),
-    capacity=st.integers(min_value=1, max_value=3),
-)
-def test_cores_agree_on_random_pipelines(delays_p, delays_c, capacity):
-    def run(two_level):
-        sim = Simulator(two_level=two_level)
-        ch = Channel(sim, capacity=capacity, name="pipe")
-        log = []
-
-        def producer():
-            for i, d in enumerate(delays_p):
-                yield Delay(d)
-                yield Put(ch, i)
-                log.append(("put", i, sim.now))
-
-        def consumer():
-            for i in range(len(delays_p)):
-                yield Delay(delays_c[i % len(delays_c)])
-                item = yield Get(ch)
-                log.append(("got", item, sim.now))
-
-        sim.spawn("prod", producer())
-        sim.spawn("cons", consumer())
-        end = sim.run()
-        return log, end, sim.events_executed
-
-    ref_log, ref_end, ref_events = run(False)
-    two_log, two_end, two_events = run(True)
-    assert two_log == ref_log
-    assert two_end == ref_end
-    assert two_events == ref_events

@@ -7,6 +7,7 @@ server runs inline (no process pool) on an ephemeral port; one module
 fixture serves every test.
 """
 
+import json
 import os
 
 import pytest
@@ -15,6 +16,7 @@ from repro.dse.scheduler import run_sweep
 from repro.dse.spec import SweepSpec
 from repro.dse.store import row_text
 from repro.serve import ServeClient, ServeConfig, ServiceError, SweepServer
+from repro.serve.server import _Handler
 
 SPEC = {
     "name": "serve-e2e",
@@ -143,3 +145,75 @@ class TestUnixSocket:
         finally:
             server.stop()
         assert not os.path.exists(sock)  # clean teardown unlinks it
+
+
+class _CountingWriter:
+    """Delegating wrapper around a handler's ``wfile`` that logs writes."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def write_log(monkeypatch):
+    """Every write the server's handlers make, in order."""
+    log = []
+    setup = _Handler.setup
+
+    def counting_setup(self):
+        setup(self)
+        self.wfile = _CountingWriter(self.wfile, log)
+
+    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    return log
+
+
+def _keep_alive_sequence(client, write_log, n=6):
+    """``n`` requests on one persistent connection, one write each."""
+    conn = client._connection()
+    try:
+        sock = None
+        for i in range(n):
+            before = len(write_log)
+            path = "/v1/healthz" if i % 2 == 0 else "/v1/nope"
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == (200 if i % 2 == 0 else 404)
+            assert ("ok" in body) if i % 2 == 0 else ("error" in body)
+            assert not resp.will_close
+            # status line, headers and body leave in a single write
+            assert len(write_log) - before == 1
+            if sock is None:
+                sock = conn.sock
+            assert conn.sock is sock  # the connection was reused
+    finally:
+        conn.close()
+
+
+class TestKeepAlive:
+    def test_one_write_per_response_over_tcp(self, served, write_log):
+        _keep_alive_sequence(served, write_log)
+
+    def test_one_write_per_response_over_unix_socket(self, tmp_path,
+                                                     write_log):
+        sock = str(tmp_path / "ka.sock")
+        cfg = ServeConfig(socket_path=sock,
+                          store_path=str(tmp_path / "ka.sqlite"),
+                          workers=1, inline=True)
+        server = SweepServer(cfg)
+        server.start()
+        try:
+            client = ServeClient(socket_path=sock)
+            client.wait_until_up(timeout_s=30.0)
+            _keep_alive_sequence(client, write_log)
+        finally:
+            server.stop()

@@ -12,14 +12,14 @@ approx: the fast path is required to produce the same bits).
 import pytest
 
 from repro.experiments.runner import BASELINE, PAPER_CONFIGS, ResultMatrix
-from repro.fastpath import ENV_VAR, fast_path_enabled
+from repro.envcfg import REPRO_FAST, fast_path_enabled
 
 WORKLOADS = ("fdt", "bfs", "dis", "spmv")
 CONFIGS = (BASELINE,) + PAPER_CONFIGS
 
 
 def run_matrix_mode(monkeypatch, fast: bool):
-    monkeypatch.setenv(ENV_VAR, "1" if fast else "0")
+    monkeypatch.setenv(REPRO_FAST.name, "1" if fast else "0")
     assert fast_path_enabled() is fast
     return ResultMatrix(
         scale="tiny", workloads=WORKLOADS, configs=CONFIGS
@@ -57,10 +57,10 @@ def test_fast_path_bit_identical(both_modes, workload, config):
 
 
 def test_fast_path_defaults_on(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.delenv(REPRO_FAST.name, raising=False)
     assert fast_path_enabled()
     for off in ("0", "false", "off", "no"):
-        monkeypatch.setenv(ENV_VAR, off)
+        monkeypatch.setenv(REPRO_FAST.name, off)
         assert not fast_path_enabled()
-    monkeypatch.setenv(ENV_VAR, "1")
+    monkeypatch.setenv(REPRO_FAST.name, "1")
     assert fast_path_enabled()

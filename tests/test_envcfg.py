@@ -20,9 +20,7 @@ class TestRegistry:
     def test_call_site_names_preserved(self):
         """Legacy import surfaces still expose the env-var names."""
         from repro.analysis.verifier import OPT_OUT_ENV
-        from repro.fastpath import ENV_VAR
 
-        assert ENV_VAR == envcfg.REPRO_FAST.name
         assert OPT_OUT_ENV == envcfg.REPRO_NO_VERIFY.name
 
 

@@ -331,3 +331,25 @@ class TestCallbacks:
         sim.spawn("p", proc())
         sim.run()
         assert fired == [250]
+
+
+def test_observability_counters():
+    """events_executed / peak_pending feed repro.obs."""
+    sim = Simulator()
+    ch = Channel(sim, capacity=2, name="pipe")
+
+    def producer():
+        for i in range(8):
+            yield Delay(10)
+            yield Put(ch, i)
+
+    def consumer(out):
+        for _ in range(8):
+            out.append((yield Get(ch)))
+
+    sim.spawn("prod", producer())
+    sim.spawn("cons", consumer(out := []))
+    sim.run()
+    assert out == list(range(8))
+    assert sim.events_executed > 0
+    assert sim.peak_pending >= 1
