@@ -114,6 +114,9 @@ class WaitProcess(Command):
         if self.target.done:
             sim._schedule(sim.now, proc, self.target.result)
         else:
+            # visible to deadlock detection until the target finishes
+            # (the wake-up's _schedule clears it)
+            proc.blocked_on = ("wait", self.target)
             self.target._waiters.append(proc)
 
 
@@ -132,9 +135,9 @@ class Process:
         self.result: Any = None
         self._waiters: List["Process"] = []
         #: what the process is blocked on — ``("get", channel)`` /
-        #: ``("put", channel)``, formatted lazily for deadlock
-        #: diagnostics (blocks are frequent; f-strings per block are not
-        #: free on the replay hot path)
+        #: ``("put", channel)`` / ``("wait", process)``, formatted
+        #: lazily for deadlock diagnostics (blocks are frequent;
+        #: f-strings per block are not free on the replay hot path)
         self.blocked_on: Optional[tuple] = None
         #: daemon processes (e.g. sinks, FSMs that serve forever) may remain
         #: blocked at end of simulation without signalling deadlock.
@@ -325,40 +328,7 @@ class Simulator:
                   max_events: Optional[int]) -> bool:
         """Reference tuple-heap dispatch; returns False on horizon pause."""
         if until_ps is None and max_events is None:
-            # specialized dispatch loop for the unbounded case (every
-            # replay run): no limit checks, counter kept in a local, the
-            # generator resumed without the _step call indirection
-            heap = self._heap
-            pop = heapq.heappop
-            executed = 0
-            try:
-                while heap:
-                    time_ps, _seq, proc, value = pop(heap)
-                    self._now = time_ps
-                    executed += 1
-                    if proc is None:
-                        value()  # plain callback
-                    else:
-                        try:
-                            cmd = proc._gen.send(value)
-                        except StopIteration as stop:
-                            proc.done = True
-                            proc.result = stop.value
-                            for waiter in proc._waiters:
-                                self._schedule(time_ps, waiter, stop.value)
-                            proc._waiters.clear()
-                            continue
-                        if cmd.__class__ is Delay:
-                            self._schedule(time_ps + cmd.ps, proc, None)
-                        elif isinstance(cmd, Command):
-                            cmd.arm(self, proc)
-                        else:
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded {cmd!r}, "
-                                f"expected a Command"
-                            )
-            finally:
-                self.events_executed += executed
+            self._run_unbounded()
             return True
         while self._heap:
             time_ps, _seq, proc, value = heapq.heappop(self._heap)
@@ -381,3 +351,109 @@ class Simulator:
             else:
                 self._step(proc, value)
         return True
+
+    def _run_unbounded(self) -> None:
+        """Dispatch loop for the unbounded case (every replay run).
+
+        ``Delay``/``Get``/``Put`` are executed inline instead of through
+        ``arm -> _arm_* -> _schedule -> _enqueue``: the same heap pushes
+        in the same ``(time, seq)`` order, the same channel counters and
+        ``blocked_on`` bookkeeping. The sequence counter and the peak
+        heap depth live in locals and are synced around the out-of-line
+        paths (callbacks, process exit, other commands), which schedule
+        through :meth:`_enqueue`.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        push = heapq.heappush
+        seq = self._seq
+        peak = self.peak_pending
+        executed = 0
+        try:
+            while heap:
+                time_ps, _seq, proc, value = pop(heap)
+                self._now = time_ps
+                executed += 1
+                if proc is None:
+                    self._seq = seq
+                    value()  # plain callback
+                    seq = self._seq
+                    continue
+                try:
+                    cmd = proc._gen.send(value)
+                except StopIteration as stop:
+                    proc.done = True
+                    proc.result = stop.value
+                    if proc._waiters:
+                        self._seq = seq
+                        for waiter in proc._waiters:
+                            self._schedule(time_ps, waiter, stop.value)
+                        proc._waiters.clear()
+                        seq = self._seq
+                    continue
+                cls = cmd.__class__
+                if cls is Delay:
+                    seq += 1
+                    push(heap, (time_ps + cmd.ps, seq, proc, None))
+                elif cls is Get:
+                    ch = cmd.channel
+                    items = ch._items
+                    if not items:
+                        proc.blocked_on = ("get", ch)
+                        ch._getters.append(proc)
+                        continue
+                    ch.total_gets += 1
+                    seq += 1
+                    push(heap, (time_ps, seq, proc, items.popleft()))
+                    putters = ch._putters
+                    cap = ch.capacity
+                    # the freed slot admits blocked putters (no getter
+                    # can be waiting: the channel held an item)
+                    while putters and (cap is None or len(items) < cap):
+                        putter, item = putters.popleft()
+                        putter.blocked_on = None
+                        ch.total_puts += 1
+                        items.append(item)
+                        if len(items) > ch.max_occupancy:
+                            ch.max_occupancy = len(items)
+                        seq += 1
+                        push(heap, (time_ps, seq, putter, None))
+                elif cls is Put:
+                    ch = cmd.channel
+                    items = ch._items
+                    cap = ch.capacity
+                    if cap is not None and len(items) >= cap:
+                        proc.blocked_on = ("put", ch)
+                        ch._putters.append((proc, cmd.item))
+                        continue
+                    ch.total_puts += 1
+                    getters = ch._getters
+                    if getters:
+                        getter = getters.popleft()
+                        getter.blocked_on = None
+                        ch.total_gets += 1
+                        seq += 1
+                        push(heap, (time_ps, seq, getter, cmd.item))
+                    else:
+                        items.append(cmd.item)
+                        if len(items) > ch.max_occupancy:
+                            ch.max_occupancy = len(items)
+                    seq += 1
+                    push(heap, (time_ps, seq, proc, None))
+                elif isinstance(cmd, Command):
+                    self._seq = seq
+                    cmd.arm(self, proc)
+                    seq = self._seq
+                    continue
+                else:
+                    raise SimulationError(
+                        f"process {proc.name!r} yielded {cmd!r}, "
+                        f"expected a Command"
+                    )
+                if len(heap) > peak:
+                    peak = len(heap)
+        finally:
+            self._seq = seq
+            self.events_executed += executed
+            if peak > self.peak_pending:
+                self.peak_pending = peak

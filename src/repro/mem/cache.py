@@ -271,6 +271,12 @@ class Cache:
         victim_dirty = np.zeros(n, dtype=bool)
         if n == 0:
             return hit, victim_line, victim_dirty
+        if n < self._WAVE_MIN_VEC or self.num_sets < self._WAVE_MIN_VEC:
+            # a wave holds at most one access per set, so no wave can
+            # reach the vector width: skip the set bookkeeping
+            self._access_batch_scalar(lines, make_dirty, hit,
+                                      victim_line, victim_dirty)
+            return hit, victim_line, victim_dirty
         set_idx = lines % self.num_sets
         new_tags = lines // self.num_sets
         per_set = np.bincount(set_idx, minlength=1)

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..energy import EnergyLedger
 from ..envcfg import vec_path_enabled
+from ..errors import SimulationError
 from ..events import ps_to_cycles
 from ..noc import Mesh, MessageKind, TrafficLedger
 from ..obs import OBS
@@ -195,10 +196,14 @@ class MemoryHierarchy:
             latency += self._dram_fill(cluster)
         return latency
 
-    def _dram_fill(self, cluster: int) -> int:
+    def _dram_fill(self, cluster: int, count: int = 1) -> int:
+        """``count`` line fills from DRAM into ``cluster``'s slice;
+        returns their summed latency cycles. Pooled while a batch or
+        accounting window is open; unpooled calls make one fill (the
+        scalar path never passes ``count``)."""
         pool = self._dram_pool
         if pool is not None:
-            pool.fills[cluster] = pool.fills.get(cluster, 0) + 1
+            pool.fills[cluster] = pool.fills.get(cluster, 0) + count
             lat = pool.fill_lat.get(cluster)
             if lat is None:
                 lat = pool.fill_lat[cluster] = (
@@ -209,7 +214,7 @@ class MemoryHierarchy:
                         self.machine.core.freq_ghz,
                     )
                 )
-            return lat
+            return count * lat
         lat_req = self.traffic.record(
             MessageKind.CACHE_REQ, cluster, self._mc, 0
         )
@@ -519,13 +524,14 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # batched fast paths (REPRO_FAST=1)
     #
-    # Each *_batch method replays a chunk of accesses through exactly the
+    # Each batch method replays a chunk of accesses through exactly the
     # same cache/DRAM state transitions as its scalar counterpart, in the
     # same order, but (a) hoists attribute and latency lookups out of the
-    # loop, (b) collapses runs of back-to-back same-line host accesses
+    # loop (the accelerator paths out of the whole stream: see the chunk
+    # plans below), (b) collapses runs of back-to-back same-line accesses
     # into one full access plus a bulk hit update, and (c) defers the
     # per-access energy charges and NoC records into per-(kind, src, dst)
-    # counters flushed once per chunk. All deferred quantities are
+    # counters flushed once per chunk or run. All deferred quantities are
     # commutative integer counts, so the resulting ledgers are
     # bit-identical to the scalar path (enforced by
     # tests/sim/test_fastpath_equiv.py).
@@ -817,199 +823,238 @@ class MemoryHierarchy:
         self.movement_bytes += moved
         return stall
 
-    def accel_line_fetch_batch(self, local_cluster: int,
-                               line_addrs: np.ndarray,
-                               is_write: bool) -> int:
-        """Line-granular fill/drain of a chunk (see
-        :meth:`accel_line_fetch`); returns total latency cycles."""
-        n = len(line_addrs)
-        if n == 0:
-            return 0
-        m = self.machine
-        line = self._line
-        freq = m.core.freq_ghz
-        l3 = self.l3
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        slices = l3.slices  # home is recomputed below; dispatch directly
+    # -- chunk plans: the static half of the accelerator batch paths ------
+    #
+    # An offload run replays each fill/drain stream and each indirect
+    # access in chunks, and everything but the cache state is fixed by
+    # the addresses: the access unit's cluster, each line's home slice,
+    # the mesh latency conversions, the energy counts, the NoC records
+    # and the movement bytes. A *plan* computes all of it once per
+    # stream, vectorized, and charges the linear accounting up front
+    # (into the run's open accounting window); the matching *walk*
+    # advances only the stateful part per chunk, in program order. Plan
+    # + walk is bit-identical to the scalar accel_line_fetch /
+    # accel_elem_access loop (tests/mem/test_batch_equiv.py).
+
+    def _pair_conv(self, at: np.ndarray, home: np.ndarray,
+                   payload: int, is_write: bool
+                   ) -> Tuple[List[Tuple[int, int]], np.ndarray,
+                              np.ndarray]:
+        """Distinct (access unit, home) pairs of a stream: returns the
+        pairs, each pair's request+data latency in core cycles and the
+        pair index of every element."""
+        k = int(max(at.max(), home.max())) + 1
+        codes, inv = np.unique(at * k + home, return_inverse=True)
         lat_of = self.traffic.latency_of
-        bank_lat = m.l3_bank_latency
-        l3_lat = m.l3.latency_cycles
-        counts: Dict[int, int] = {}
-        conv: Dict[int, int] = {}
-        total = 0
-        moved = 0
-        pool = self._open_dram_pool()
-        try:
-            addr_list = line_addrs.tolist()
-            if min(addr_list) // stripe == max(addr_list) // stripe:
-                # whole chunk lives in one stripe block (the common case:
-                # chunks are short, stripes are large): hoist the per-line
-                # home math and bookkeeping out of the walk
-                home = (addr_list[0] // stripe) % ncl
-                counts[home] = n
-                conv[home] = _ps_to_cycles_int(
-                    lat_of(local_cluster, home, 0)
-                    + (lat_of(local_cluster, home, line)
-                       if is_write
-                       else lat_of(home, local_cluster, line)),
-                    freq,
-                )
-                if home == local_cluster:
-                    total += n * (1 + bank_lat + conv[home])
-                else:
-                    total += n * (1 + l3_lat + conv[home])
-                    moved += n * line
-                access = slices[home].access
-                for addr in addr_list:
-                    out = access(addr, is_write)
-                    ev = out.evicted
-                    if ev is not None and ev[1]:
-                        self._writeback_to_dram(home)
-                    if not out.hit and not is_write:
-                        total += self._dram_fill(home)
-            else:
-                for addr in addr_list:
-                    home = (addr // stripe) % ncl
-                    seen = counts.get(home)
-                    if seen is None:
-                        counts[home] = 1
-                        conv[home] = _ps_to_cycles_int(
-                            lat_of(local_cluster, home, 0)
-                            + (lat_of(local_cluster, home, line)
-                               if is_write
-                               else lat_of(home, local_cluster, line)),
-                            freq,
-                        )
-                    else:
-                        counts[home] = seen + 1
-                    if home == local_cluster:
-                        total += 1 + bank_lat + conv[home]
-                    else:
-                        total += 1 + l3_lat + conv[home]
-                        moved += line
-                    out = slices[home].access(addr, is_write)
-                    ev = out.evicted
-                    if ev is not None and ev[1]:
-                        self._writeback_to_dram(home)
-                    if not out.hit and not is_write:
-                        total += self._dram_fill(home)
-        finally:
-            if pool is not None:
-                self._flush_dram_pool(pool)
-        self._charge("access_unit", "acp_access", n)
-        for home, count in counts.items():
-            self._charge("l3", "l3_access", count)
-            self._record(MessageKind.ACC_HANDSHAKE, local_cluster, home,
-                         0, count)
+        freq = self.machine.core.freq_ghz
+        pairs = [divmod(code, k) for code in codes.tolist()]
+        conv = np.array([
+            _ps_to_cycles_int(
+                lat_of(a, h, 0)
+                + (lat_of(a, h, payload) if is_write
+                   else lat_of(h, a, payload)),
+                freq,
+            )
+            for a, h in pairs
+        ], dtype=np.int64)
+        return pairs, conv, inv.reshape(-1)
+
+    def _charge_pairs(self, pairs: List[Tuple[int, int]],
+                      counts: List[int], payload: int,
+                      is_write: bool) -> None:
+        """Handshake + data records of a stream, pooled per pair."""
+        for (at, home), count in zip(pairs, counts):
+            self._record(MessageKind.ACC_HANDSHAKE, at, home, 0, count)
             if is_write:
-                self._record(MessageKind.ACC_OPERAND, local_cluster,
-                             home, line, count)
+                self._record(MessageKind.ACC_OPERAND, at, home, payload,
+                             count)
             else:
-                self._record(MessageKind.ACC_OPERAND, home,
-                             local_cluster, line, count)
-        self.movement_bytes += moved
-        return total
+                self._record(MessageKind.ACC_OPERAND, home, at, payload,
+                             count)
 
-    def accel_elem_access_batch(self, local_cluster: int,
-                                addrs: np.ndarray, is_write: bool,
-                                elem_bytes: int) -> int:
-        """Element-granular near-data accesses for a chunk (see
-        :meth:`accel_elem_access`); returns total latency cycles.
+    def accel_line_plan(self, at: np.ndarray, lines: np.ndarray,
+                        bounds: np.ndarray, is_write: bool) -> List[tuple]:
+        """Static half of :meth:`accel_line_fetch` over a chunked stream.
 
-        The walk is in program order with same-line run collapsing:
-        after the first access of a run of consecutive same-line
-        addresses the line is the ACP's resident MRU line, so the
-        remaining ``k-1`` accesses are guaranteed hits with no L3 side
-        — accounted in bulk via :meth:`Cache.touch_resident` and
-        ``k-1``-scaled arithmetic, bit-identical to the scalar loop.
+        Chunk ``c`` fetches ``lines[bounds[c]:bounds[c+1]]`` (line
+        addresses) from an access unit at cluster ``at[c]``. Charges the
+        stream's ACP/L3 energy counts, handshake/data records and
+        movement bytes once, and returns one entry per chunk for
+        :meth:`accel_line_walk`: ``(addrs, home, homes, cycles)`` with
+        the chunk's single home slice (``homes`` None) or per-line homes
+        when the chunk crosses a stripe, and the static latency sum
+        ``sum(1 + bank|L3 latency + conv[at, home])``.
         """
-        n = len(addrs)
+        nchunks = len(bounds) - 1
+        n = len(lines)
         if n == 0:
-            return 0
-        m = self.machine
+            return [_EMPTY_LINES] * nchunks
         line = self._line
-        freq = m.core.freq_ghz
-        l3 = self.l3
-        slices = l3.slices
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        acps = self.acps
-        lat_of = self.traffic.latency_of
-        bank_lat = m.l3_bank_latency
-        shift = acps[0].line_shift
-        # same line => same home only when stripes are line-aligned
-        collapse = stripe % (1 << shift) == 0
-        counts: Dict[int, int] = {}
-        conv: Dict[int, int] = {}
-        n_l3 = 0  # miss-side bank reads + dirty ACP retires
-        total = 0
-        moved = 0
-        addr_list = addrs.tolist()
-        pool = self._open_dram_pool()
-        try:
-            i = 0
-            while i < n:
-                addr = addr_list[i]
-                j = i + 1
-                if collapse:
-                    ln = addr >> shift
-                    while j < n and addr_list[j] >> shift == ln:
-                        j += 1
-                k = j - i
-                home = (addr // stripe) % ncl
-                seen = counts.get(home)
-                if seen is None:
-                    counts[home] = k
-                    conv[home] = _ps_to_cycles_int(
-                        lat_of(local_cluster, home, 0)
-                        + (lat_of(local_cluster, home, elem_bytes)
-                           if is_write
-                           else lat_of(home, local_cluster, elem_bytes)),
-                        freq,
-                    )
-                else:
-                    counts[home] = seen + k
-                if home != local_cluster:
-                    moved += k * elem_bytes
-                total += k * (1 + conv[home])
-                out = acps[home].access(addr, is_write)
-                if k > 1:
-                    acps[home].touch_resident(addr, is_write, k - 1)
+        m = self.machine
+        sizes = np.diff(bounds)
+        at_l = np.repeat(at, sizes)
+        home = self.l3.home_clusters(lines)
+        pairs, conv, inv = self._pair_conv(at_l, home, line, is_write)
+        local = np.array([a == h for a, h in pairs], dtype=bool)
+        base = 1 + conv + np.where(local, m.l3_bank_latency,
+                                   m.l3.latency_cycles)
+        csum = np.concatenate(([0], np.cumsum(base[inv])))
+        static = (csum[bounds[1:]] - csum[bounds[:-1]]).tolist()
+        counts = np.bincount(inv, minlength=len(pairs)).tolist()
+        self._charge("access_unit", "acp_access", n)
+        self._charge("l3", "l3_access", n)
+        self._charge_pairs(pairs, counts, line, is_write)
+        self.movement_bytes += line * sum(
+            c for c, lc in zip(counts, local.tolist()) if not lc
+        )
+        # chunks whose lines all share one home walk a single slice
+        turns = np.concatenate(([0], np.cumsum(home[1:] != home[:-1])))
+        addr_l = lines.tolist()
+        home_l = home.tolist()
+        turn_l = turns.tolist()
+        out = []
+        for c, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist())):
+            if lo == hi:
+                out.append(_EMPTY_LINES)
+            elif turn_l[hi - 1] == turn_l[lo]:
+                out.append((addr_l[lo:hi], home_l[lo], None, static[c]))
+            else:
+                out.append((addr_l[lo:hi], -1, home_l[lo:hi], static[c]))
+        return out
+
+    def accel_line_walk(self, chunk: tuple, is_write: bool) -> int:
+        """Stateful half of :meth:`accel_line_fetch` for one planned
+        chunk: the L3-slice LRU transitions, dirty writebacks and DRAM
+        fills. Runs inside an accounting window; returns latency cycles.
+        """
+        addrs, home, homes, total = chunk
+        pool = self._dram_pool
+        if pool is None:
+            raise SimulationError(
+                "accel_line_walk needs an open accounting window"
+            )
+        if homes is None:
+            access = self.l3.slices[home].access
+            misses = wbs = 0
+            for addr in addrs:
+                out = access(addr, is_write)
+                if not out.hit:
+                    misses += 1
+                    ev = out.evicted
+                    if ev is not None and ev[1]:
+                        wbs += 1
+            if wbs:
+                pool.wbs[home] = pool.wbs.get(home, 0) + wbs
+            if misses and not is_write:
+                total += self._dram_fill(home, misses)
+            return total
+        slices = self.l3.slices
+        for addr, home in zip(addrs, homes):
+            out = slices[home].access(addr, is_write)
+            if not out.hit:
                 ev = out.evicted
                 if ev is not None and ev[1]:
-                    # dirty line retires into the local bank
-                    n_l3 += 1
-                    evicted = l3.fill(ev[0] * line, dirty=True)
-                    if evicted and evicted[1]:
-                        self._writeback_to_dram(home)
-                i = j
-                if out.hit:
-                    continue
+                    self._writeback_to_dram(home)
+                if not is_write:
+                    total += self._dram_fill(home)
+        return total
+
+    def accel_elem_plan(self, at: np.ndarray, addrs: np.ndarray,
+                        bounds: np.ndarray, is_write: bool,
+                        elem_bytes: int) -> List[tuple]:
+        """Static half of :meth:`accel_elem_access` over a chunked
+        stream of element addresses (chunk ``c`` is
+        ``addrs[bounds[c]:bounds[c+1]]`` from cluster ``at[c]``).
+
+        Runs of consecutive same-line addresses collapse (after a run's
+        first access its line is the home ACP's MRU line, so the rest
+        are hits with no L3 side). Charges the stream's ACP energy,
+        handshake/data records and movement once, and returns one entry
+        per chunk for :meth:`accel_elem_access_batch`: ``(run heads, run
+        lengths, run homes, cycles)`` with the static latency sum
+        ``sum(1 + conv[at, home])`` over the chunk's elements.
+        """
+        nchunks = len(bounds) - 1
+        n = len(addrs)
+        if n == 0:
+            return [_EMPTY_ELEMS] * nchunks
+        shift = self.acps[0].line_shift
+        heads_mask = np.ones(n, dtype=bool)
+        # same line => same home only when stripes are line-aligned
+        if self.l3.stripe_bytes % (1 << shift) == 0:
+            lines = addrs >> shift
+            np.not_equal(lines[1:], lines[:-1], out=heads_mask[1:])
+            starts = bounds[:-1]
+            heads_mask[starts[starts < n]] = True  # runs end at chunks
+        heads = np.flatnonzero(heads_mask)
+        runs = np.diff(np.append(heads, n))
+        head_addrs = addrs[heads]
+        home = self.l3.home_clusters(head_addrs)
+        run_bounds = np.searchsorted(heads, bounds)
+        at_r = np.repeat(at, np.diff(run_bounds))
+        pairs, conv, inv = self._pair_conv(at_r, home, elem_bytes,
+                                           is_write)
+        csum = np.concatenate(([0], np.cumsum(runs * (1 + conv[inv]))))
+        static = (csum[run_bounds[1:]] - csum[run_bounds[:-1]]).tolist()
+        counts = np.bincount(inv, weights=runs,
+                             minlength=len(pairs)).astype(np.int64).tolist()
+        self._charge("access_unit", "acp_access", n)
+        self._charge_pairs(pairs, counts, elem_bytes, is_write)
+        self.movement_bytes += elem_bytes * sum(
+            c for c, (a, h) in zip(counts, pairs) if a != h
+        )
+        addr_l = head_addrs.tolist()
+        run_l = runs.tolist()
+        home_l = home.tolist()
+        out = []
+        for c, (lo, hi) in enumerate(zip(run_bounds[:-1].tolist(),
+                                         run_bounds[1:].tolist())):
+            if lo == hi:
+                out.append(_EMPTY_ELEMS)
+            else:
+                out.append((addr_l[lo:hi], run_l[lo:hi], home_l[lo:hi],
+                            static[c]))
+        return out
+
+    def accel_elem_access_batch(self, chunk: tuple, is_write: bool) -> int:
+        """Stateful half of :meth:`accel_elem_access` for one chunk
+        planned by :meth:`accel_elem_plan`: the home ACPs' LRU
+        transitions (a collapsed run's tail in bulk via
+        :meth:`Cache.touch_resident`), dirty ACP retires into the bank,
+        bank reads on ACP misses and DRAM fills. Returns latency cycles.
+        """
+        heads, runs, homes, total = chunk
+        line = self._line
+        l3 = self.l3
+        slices = l3.slices
+        acps = self.acps
+        bank_lat = self.machine.l3_bank_latency
+        n_l3 = 0  # miss-side bank reads + dirty ACP retires
+        for addr, k, home in zip(heads, runs, homes):
+            acp = acps[home]
+            out = acp.access(addr, is_write)
+            if k > 1:
+                acp.touch_resident(addr, is_write, k - 1)
+            if out.hit:
+                continue
+            ev = out.evicted
+            if ev is not None and ev[1]:
+                # dirty line retires into the local bank
                 n_l3 += 1
-                total += bank_lat
-                out3 = slices[home].access(addr, is_write=False)
+                evicted = l3.fill(ev[0] * line, dirty=True)
+                if evicted and evicted[1]:
+                    self._writeback_to_dram(home)
+            n_l3 += 1
+            total += bank_lat
+            out3 = slices[home].access(addr, is_write=False)
+            if not out3.hit:
                 ev3 = out3.evicted
                 if ev3 is not None and ev3[1]:
                     self._writeback_to_dram(home)
-                if not out3.hit:
-                    total += self._dram_fill(home)
-        finally:
-            if pool is not None:
-                self._flush_dram_pool(pool)
-        self._charge("access_unit", "acp_access", n)
+                total += self._dram_fill(home)
         if n_l3:
             self._charge("l3", "l3_access", n_l3)
-        for home, count in counts.items():
-            self._record(MessageKind.ACC_HANDSHAKE, local_cluster, home,
-                         0, count)
-            if is_write:
-                self._record(MessageKind.ACC_OPERAND, local_cluster,
-                             home, elem_bytes, count)
-            else:
-                self._record(MessageKind.ACC_OPERAND, home,
-                             local_cluster, elem_bytes, count)
-        self.movement_bytes += moved
         return total
 
     def l3_demand_batch(self, from_node: int,
@@ -1065,6 +1110,12 @@ class MemoryHierarchy:
         OBS.inc("mem.dram_accesses", s.dram)
         OBS.inc("mem.prefetches", s.prefetches)
         OBS.inc("mem.movement_bytes", self.movement_bytes)
+
+
+#: plan entries of a chunk with no accesses (shared: entries are
+#: read-only) for accel_line_walk / accel_elem_access_batch
+_EMPTY_LINES = ((), 0, None, 0)
+_EMPTY_ELEMS = ((), (), (), 0)
 
 
 class _DramPool:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..params import CacheParams, MachineParams
 from .cache import AccessOutcome, Cache
 
@@ -46,6 +48,10 @@ class NucaL3:
     def home_cluster(self, addr: int) -> int:
         """Cluster whose slice caches this address (range-striped)."""
         return (addr // self.stripe_bytes) % self.num_clusters
+
+    def home_clusters(self, addrs: np.ndarray) -> np.ndarray:
+        """:meth:`home_cluster` of every address in an array."""
+        return (addrs // self.stripe_bytes) % self.num_clusters
 
     def bank(self, addr: int) -> int:
         """Bank within the home cluster (line-interleaved)."""

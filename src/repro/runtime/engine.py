@@ -11,9 +11,11 @@ emerge at chunk resolution while event counts stay tractable.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from ..accel.base import PartitionProfile
 from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
 from ..envcfg import fast_path_enabled, vec_path_enabled
+from ..errors import AllocationError, InterfaceError
 from ..events import Channel, Delay, Get, Put, Simulator, cycles_to_ps
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
 from ..interface.intrinsics import mmio_bytes
@@ -120,7 +123,7 @@ class OffloadEngine:
             return access_id
         try:
             return self.scheduler.lookup(ctx, access_id).buf_id
-        except Exception:
+        except InterfaceError:
             return 10_000_000 + access_id  # fell back to uncombined
 
     # ------------------------------------------------------------------
@@ -150,29 +153,10 @@ class OffloadEngine:
         # centralized accelerator: no in-place access, pull the line
         return self._line_fetch(cluster, addr, is_write)
 
-    def _line_fetch_many(self, cluster: int, line_addrs: np.ndarray,
-                         is_write: bool) -> int:
-        """Batched :meth:`_line_fetch` over a chunk (REPRO_FAST=1 only);
-        bit-identical to the per-line loop."""
-        if self.private_cache is None:
-            return self.hierarchy.accel_line_fetch_batch(
-                cluster, line_addrs, is_write
-            )
-        return self._private_fetch_many(cluster, line_addrs, is_write)
-
-    def _elem_access_many(self, cluster: int, addrs: np.ndarray,
-                          is_write: bool, elem_bytes: int) -> int:
-        """Batched :meth:`_elem_access` over a chunk (REPRO_FAST=1 only);
-        bit-identical to the per-element loop."""
-        if self.private_cache is None:
-            return self.hierarchy.accel_elem_access_batch(
-                cluster, addrs, is_write, elem_bytes
-            )
-        return self._private_fetch_many(cluster, addrs, is_write)
-
     def _private_fetch_many(self, cluster: int, addrs: np.ndarray,
                             is_write: bool) -> int:
-        """Mono-CA chunk replay: the private cache advances per access in
+        """Mono-CA chunk replay (REPRO_FAST=1), for fill/drain lines and
+        indirect elements alike: the private cache advances per access in
         program order; the per-miss L3 accounting is pooled in an
         :class:`~repro.mem.hierarchy.L3DemandWindow`."""
         n = len(addrs)
@@ -244,7 +228,7 @@ class OffloadEngine:
             for acc in part.accesses:
                 try:
                     self.scheduler.allocate(ctx, cluster, acc)
-                except Exception:
+                except AllocationError:
                     pass  # SRAM pressure: access falls back to uncombined
         # substrate setup (microcode / CGRA configuration load)
         setup_cycles = max(
@@ -336,6 +320,21 @@ class OffloadEngine:
         return False
 
 
+class _Plan(NamedTuple):
+    """Replay plan of one chunked stream, built once per run.
+
+    ``walk(entries[c], is_write)`` replays chunk ``c``'s memory accesses
+    and returns their latency cycles; ``sizes[c]`` is the chunk's access
+    count. Everything static was computed (and charged) when the plan
+    was built.
+    """
+
+    entries: list
+    walk: Callable[[object, bool], int]
+    sizes: List[int]
+    is_write: bool
+
+
 @dataclass
 class _RunContext:
     """Wires up all processes/channels of one offload execution."""
@@ -355,10 +354,6 @@ class _RunContext:
     #: combining: one FSM serves every access sharing a buffer)
     read_bufs: Dict[int, List[int]] = field(default_factory=dict)
     write_bufs: Dict[int, List[int]] = field(default_factory=dict)
-    #: (tag, id(acc), chunk) -> element/line address arrays; fill, drain
-    #: and partition procs all re-derive the same chunk slices, and the
-    #: per-chunk np.unique is measurable across ~100k chunk visits
-    _chunk_memo: Dict[tuple, np.ndarray] = field(default_factory=dict)
 
     def build(self) -> None:
         config = self.offload.config
@@ -387,7 +382,8 @@ class _RunContext:
                 self.fill_tokens[buf_key] = tok
                 self.sim.spawn(
                     f"fsm-fill-{buf_key}",
-                    self._fill_proc(acc, cluster, tok),
+                    self._fill_proc(self._fill_plan(acc, cluster),
+                                    self._is_invariant(acc), tok),
                 )
             for buf_key, acc in self._grouped(
                 self._buffered_writes(part)
@@ -398,7 +394,7 @@ class _RunContext:
                 self.drain_tokens[buf_key] = tok
                 self.sim.spawn(
                     f"fsm-drain-{buf_key}",
-                    self._drain_proc(acc, cluster, tok),
+                    self._drain_proc(self._drain_plan(acc, cluster), tok),
                 )
         for group in groups:
             if len(group) == 1:
@@ -514,70 +510,46 @@ class _RunContext:
             if a.kind in (AccessKind.INDIRECT, AccessKind.RANDOM)
         ]
 
-    def _elem_chunks(self, acc: AccessConfig) -> List[np.ndarray]:
-        """Element-stream slices of every chunk, computed in one pass."""
-        key = ("e", id(acc))
-        out = self._chunk_memo.get(key)
-        if out is None:
-            stream = self.site_streams.for_sites(acc.site_ids)
-            n = len(self.chunk_sizes)
-            size = stream.size
-            bounds = [(size * c) // n for c in range(n + 1)]
-            out = [stream[bounds[c]:bounds[c + 1]] for c in range(n)]
-            self._chunk_memo[key] = out
-        return out
-
-    def _elems_for_chunk(self, acc: AccessConfig, c: int) -> np.ndarray:
-        """Slice of the access's element stream belonging to chunk c."""
-        return self._elem_chunks(acc)[c]
-
-    def _addr(self, acc: AccessConfig, elem: int) -> int:
-        alloc = self.engine.slab.by_name(acc.obj)
-        return alloc.base + int(elem) * acc.elem_bytes
-
-    def _line_chunks(self, acc: AccessConfig) -> List[np.ndarray]:
-        """Unique line addresses each chunk's elements touch (64 B
-        lines), all chunks in one vectorized pass.
-
-        Streams are almost always monotone, so the per-chunk sorted
-        dedup is a single global adjacent-difference mask re-anchored at
-        each chunk boundary (~200k chunk visits per small matrix cell
-        made the per-chunk set/np.unique cost measurable). Non-monotone
-        streams keep the per-chunk reference dedup.
-        """
-        key = ("l", id(acc))
-        out = self._chunk_memo.get(key)
-        if out is not None:
-            return out
-        elem_chunks = self._elem_chunks(acc)
+    def _elem_stream(self, acc: AccessConfig
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The access's element stream and its chunk bounds (chunk ``c``
+        is ``stream[bounds[c]:bounds[c+1]]``)."""
         stream = self.site_streams.for_sites(acc.site_ids)
         n = len(self.chunk_sizes)
+        return stream, (stream.size * np.arange(n + 1)) // n
+
+    def _line_stream(self, acc: AccessConfig
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Unique line addresses each chunk's elements touch (64 B
+        lines), all chunks concatenated, with their chunk bounds.
+
+        Streams are almost always monotone, so the per-chunk sorted
+        dedup is one global adjacent-difference mask with a restart mark
+        at each chunk start, one boolean index, and chunk bounds from
+        its cumulative counts. Non-monotone streams keep the per-chunk
+        reference dedup.
+        """
+        stream, bounds = self._elem_stream(acc)
         size = stream.size
         if size == 0:
-            out = elem_chunks  # every chunk is the empty slice
-        else:
-            base = self.engine.slab.by_name(acc.obj).base
-            eb = acc.elem_bytes
-            lines = (base + stream * eb) >> 6
-            bounds = [(size * c) // n for c in range(n + 1)]
-            if size == 1 or bool((lines[1:] >= lines[:-1]).all()):
-                keep = np.empty(size, dtype=bool)
-                keep[0] = True
-                np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-                out = []
-                for c in range(n):
-                    lo, hi = bounds[c], bounds[c + 1]
-                    if lo == hi:
-                        out.append(lines[:0])
-                        continue
-                    k = keep[lo:hi].copy()
-                    k[0] = True  # dedup restarts at the chunk boundary
-                    out.append(lines[lo:hi][k] << 6)
-            else:
-                out = [self._chunk_lines_ref(elems, base, eb)
-                       for elems in elem_chunks]
-        self._chunk_memo[key] = out
-        return out
+            return stream, bounds  # every chunk is empty
+        base = self.engine.slab.by_name(acc.obj).base
+        eb = acc.elem_bytes
+        lines = (base + stream * eb) >> 6
+        if size == 1 or bool((lines[1:] >= lines[:-1]).all()):
+            keep = np.empty(size, dtype=bool)
+            keep[0] = True
+            np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+            starts = bounds[:-1]
+            keep[starts[starts < size]] = True  # dedup restarts per chunk
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            return lines[keep] << 6, kept[bounds]
+        parts = [self._chunk_lines_ref(stream[lo:hi], base, eb)
+                 for lo, hi in zip(bounds[:-1].tolist(),
+                                   bounds[1:].tolist())]
+        sizes = [len(p) for p in parts]
+        return (np.concatenate(parts).astype(np.int64),
+                np.concatenate(([0], np.cumsum(sizes))))
 
     @staticmethod
     def _chunk_lines_ref(elems: np.ndarray, base: int,
@@ -596,113 +568,176 @@ class _RunContext:
             return lines[keep] << 6
         return np.unique(lines) << 6
 
-    def _lines_for_chunk(self, acc: AccessConfig, c: int) -> np.ndarray:
-        """Unique line addresses a chunk's elements touch (64 B lines)."""
-        return self._line_chunks(acc)[c]
-
     def _is_invariant(self, acc: AccessConfig) -> bool:
         return acc.stride_elems == 0 and acc.kind is AccessKind.STREAM_READ
 
-    def _fetch_chunk(self, at: int, lines: np.ndarray,
-                     is_write: bool) -> int:
-        """Line fetches for one chunk: batched replay when REPRO_FAST=1,
-        the per-line reference loop otherwise."""
-        engine = self.engine
-        if engine._fast:
-            return engine._line_fetch_many(at, lines, is_write)
-        total = 0
-        for line_addr in lines:
-            total += engine._line_fetch(at, int(line_addr), is_write)
-        return total
-
-    def _indirect_chunk(self, acc: AccessConfig, at: int,
-                        elems: np.ndarray) -> int:
-        """Indirect element accesses for one chunk (same gating)."""
-        engine = self.engine
-        base = engine.slab.by_name(acc.obj).base
-        eb = acc.elem_bytes
-        if engine._fast:
-            return engine._elem_access_many(
-                at, base + elems * eb, acc.is_write, eb
+    def _at(self, cluster: int, addrs: np.ndarray,
+            bounds: np.ndarray) -> np.ndarray:
+        """Cluster each chunk's access unit presents at: DA access units
+        migrate to the home of the chunk's first address; the Mono-CA
+        accelerator (and any empty chunk) stays at ``cluster``."""
+        at = np.full(len(bounds) - 1, cluster, dtype=np.int64)
+        if self.engine.migrating:
+            starts = bounds[:-1]
+            busy = starts < bounds[1:]
+            at[busy] = self.engine.hierarchy.l3.home_clusters(
+                addrs[starts[busy]]
             )
-        total = 0
-        for elem in elems.tolist():
-            total += engine._elem_access(
-                at, base + elem * eb, acc.is_write, eb
-            )
-        return total
+        return at
 
-    def _migrated(self, static_cluster: int, addr) -> int:
-        """Cluster the access unit presents at for this chunk."""
-        if not self.engine.migrating or addr is None:
-            return static_cluster
-        return self.engine.hierarchy.l3.home_cluster(int(addr))
+    def _plan(self, addrs: np.ndarray, bounds: np.ndarray, cluster: int,
+              is_write: bool, elem_bytes: Optional[int] = None) -> _Plan:
+        """Per-chunk replay plan of a line stream (``elem_bytes`` None:
+        fill/drain line fetches) or of an indirect element stream.
+
+        REPRO_FAST=1 plans the hierarchy's plan/walk pair (distributed
+        access units) or the Mono-CA private-cache walk; REPRO_FAST=0
+        keeps the per-access scalar reference loop.
+        """
+        engine = self.engine
+        los = bounds[:-1].tolist()
+        his = bounds[1:].tolist()
+        sizes = [hi - lo for lo, hi in zip(los, his)]
+        at = self._at(cluster, addrs, bounds)
+        if not engine._fast:
+            if elem_bytes is None:
+                fetch = engine._line_fetch
+            else:
+                def fetch(unit: int, addr: int, write: bool) -> int:
+                    return engine._elem_access(unit, addr, write,
+                                               elem_bytes)
+
+            def walk(entry, write: bool) -> int:
+                unit, chunk = entry
+                total = 0
+                for addr in chunk:
+                    total += fetch(unit, addr, write)
+                return total
+
+            addr_l = addrs.tolist()
+            entries = [(a, addr_l[lo:hi])
+                       for a, lo, hi in zip(at.tolist(), los, his)]
+            return _Plan(entries, walk, sizes, is_write)
+        if engine.private_cache is not None:
+            return _Plan([addrs[lo:hi] for lo, hi in zip(los, his)],
+                         functools.partial(engine._private_fetch_many,
+                                           cluster),
+                         sizes, is_write)
+        hier = engine.hierarchy
+        if elem_bytes is None:
+            return _Plan(hier.accel_line_plan(at, addrs, bounds, is_write),
+                         hier.accel_line_walk, sizes, is_write)
+        return _Plan(hier.accel_elem_plan(at, addrs, bounds, is_write,
+                                          elem_bytes),
+                     hier.accel_elem_access_batch, sizes, is_write)
+
+    def _fill_plan(self, acc: AccessConfig, cluster: int) -> _Plan:
+        """Plan of a fill stream, its FSM/buffer accounting charged."""
+        lines, bounds = self._line_stream(acc)
+        invariant = self._is_invariant(acc)
+        if invariant:
+            # loop-invariant operand: chunk 0 fetches its first line once
+            first = min(int(bounds[1]), 1)
+            lines = lines[:first]
+            bounds = np.minimum(bounds, first)
+        plan = self._plan(lines, bounds, cluster, False)
+        nlines = len(lines)
+        if nlines:
+            energy = self.engine.energy
+            fsm = 1 if invariant else self.site_streams.length(acc.site_ids)
+            energy.charge("access_unit", "fsm_step", fsm)
+            energy.charge("access_unit", "buffer_access", nlines)
+            energy.charge("access_unit", "translation_lookup",
+                          sum(1 for n in plan.sizes if n))
+            self.stats.d_a_bytes += nlines * 64
+        return plan
+
+    def _drain_plan(self, acc: AccessConfig, cluster: int) -> _Plan:
+        """Plan of a drain stream, its FSM/buffer accounting charged."""
+        lines, bounds = self._line_stream(acc)
+        plan = self._plan(lines, bounds, cluster, True)
+        nlines = len(lines)
+        if nlines:
+            energy = self.engine.energy
+            energy.charge("access_unit", "fsm_step", nlines)
+            energy.charge("access_unit", "buffer_access", nlines)
+            self.stats.d_a_bytes += nlines * 64
+        return plan
+
+    def _indirect_plans(self, accesses: List[Tuple[AccessConfig, int]]
+                        ) -> List[_Plan]:
+        """Plans of indirect ``(access, cluster)`` pairs, their address
+        translation accounting charged."""
+        plans = []
+        trans_n = d_a = 0
+        for acc, cluster in accesses:
+            stream, bounds = self._elem_stream(acc)
+            eb = acc.elem_bytes
+            addrs = self.engine.slab.by_name(acc.obj).base + stream * eb
+            plans.append(self._plan(addrs, bounds, cluster, acc.is_write,
+                                    eb))
+            trans_n += stream.size
+            d_a += stream.size * eb
+        if trans_n:
+            self.engine.energy.charge("access_unit", "translation_lookup",
+                                      trans_n)
+            self.stats.d_a_bytes += d_a
+        return plans
 
     # -- processes -----------------------------------------------------------
-    def _fill_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
-        # the per-chunk energy charges and Fig-9 byte tallies are
-        # commutative integer accumulations: summing them locally and
-        # flushing once per process is bit-identical to per-chunk calls
-        engine = self.engine
-        energy = engine.energy
-        invariant = self._is_invariant(acc)
-        line_chunks = self._line_chunks(acc)
-        elem_chunks = None if invariant else self._elem_chunks(acc)
-        fsm_n = buf_n = trans_n = d_a = 0
-        for c, iters in enumerate(self.chunk_sizes):
+    def _fill_proc(self, plan: _Plan, invariant: bool, tok: Channel):
+        entries, walk, nlines, is_write = plan
+        port = self.shared_port
+        if port is not None:
+            get_port = Get(port)
+            put_port = Put(port, True)
+        for c in range(len(self.chunk_sizes)):
             if invariant and c > 0:
                 yield Put(tok, c)
                 continue
-            lines = line_chunks[c]
-            if invariant:
-                lines = lines[:1]
-            if self.shared_port is not None:
-                yield Get(self.shared_port)
-            at = self._migrated(cluster, lines[0] if len(lines) else None)
-            lat_cycles = self._fetch_chunk(at, lines, False)
-            nlines = len(lines)
-            if nlines:
-                fsm_n += 1 if invariant else len(elem_chunks[c])
-                buf_n += nlines
-                trans_n += 1
-                d_a += nlines * 64
+            if port is not None:
+                yield get_port
+            lat_cycles = walk(entries[c], is_write)
             yield Delay(cycles_to_ps(
-                lat_cycles / FSM_OVERLAP + nlines, MEM_FREQ_GHZ
+                lat_cycles / FSM_OVERLAP + nlines[c], MEM_FREQ_GHZ
             ))
-            if self.shared_port is not None:
-                yield Put(self.shared_port, True)
+            if port is not None:
+                yield put_port
             yield Put(tok, c)
-        if trans_n:
-            energy.charge("access_unit", "fsm_step", fsm_n)
-            energy.charge("access_unit", "buffer_access", buf_n)
-            energy.charge("access_unit", "translation_lookup", trans_n)
-            self.stats.d_a_bytes += d_a
 
-    def _drain_proc(self, acc: AccessConfig, cluster: int, tok: Channel):
-        engine = self.engine
-        energy = engine.energy
-        line_chunks = self._line_chunks(acc)
-        buf_n = d_a = 0
+    def _drain_proc(self, plan: _Plan, tok: Channel):
+        entries, walk, nlines, is_write = plan
+        port = self.shared_port
+        if port is not None:
+            get_port = Get(port)
+            put_port = Put(port, True)
+        get_tok = Get(tok)
         for _ in self.chunk_sizes:
-            c = yield Get(tok)
-            lines = line_chunks[c]
-            if self.shared_port is not None:
-                yield Get(self.shared_port)
-            at = self._migrated(cluster, lines[0] if len(lines) else None)
-            lat_cycles = self._fetch_chunk(at, lines, True)
-            nlines = len(lines)
-            if nlines:
-                buf_n += nlines
-                d_a += nlines * 64
+            c = yield get_tok
+            if port is not None:
+                yield get_port
+            lat_cycles = walk(entries[c], is_write)
             yield Delay(cycles_to_ps(
-                lat_cycles / FSM_OVERLAP + nlines, MEM_FREQ_GHZ
+                lat_cycles / FSM_OVERLAP + nlines[c], MEM_FREQ_GHZ
             ))
-            if self.shared_port is not None:
-                yield Put(self.shared_port, True)
-        if buf_n:
-            energy.charge("access_unit", "fsm_step", buf_n)
-            energy.charge("access_unit", "buffer_access", buf_n)
-            self.stats.d_a_bytes += d_a
+            if port is not None:
+                yield put_port
+
+    def _operand_counts(self, channels: List[Tuple[int, int, int]]
+                        ) -> Tuple[Dict[Tuple[int, int, int], int], int]:
+        """Per-(src, dst, payload) operand message counts over the run
+        for channels ``(src, dst, payload_bytes per iteration)``: one
+        message per chunk, sized by the chunk's iterations. Returns the
+        counts and their total bytes."""
+        recs: Dict[Tuple[int, int, int], int] = {}
+        total = 0
+        for iters, n in Counter(self.chunk_sizes).items():
+            for src, dst, payload_bytes in channels:
+                payload = payload_bytes * iters
+                key = (src, dst, payload)
+                recs[key] = recs.get(key, 0) + n
+                total += payload * n
+        return recs, total
 
     def _partition_proc(self, part: PartitionConfig, cluster: int):
         engine = self.engine
@@ -711,69 +746,30 @@ class _RunContext:
         profile = PartitionProfile.from_config(part)
         timing = engine.backend.timing(profile)
         ii_ps = timing.ii_ps  # property: hoisted out of the chunk loop
-        read_bufs = self.read_bufs[part.partition_index]
-        write_bufs = self.write_bufs[part.partition_index]
-        indirect = self._indirect(part)
         traffic = engine.hierarchy.traffic
-        intra_per_iter = (
-            profile.buffer_reads + profile.buffer_writes
+        ind_plans = self._indirect_plans(
+            [(acc, cluster) for acc in self._indirect(part)]
         )
-        ind_chunks = [(acc, self._elem_chunks(acc)) for acc in indirect]
-        # hoist the per-chunk channel/token lookups out of the loop
-        consume_chs = [self.channels[ch_id] for ch_id in part.consumes]
-        read_toks = [self.fill_tokens[b] for b in read_bufs]
-        write_toks = [self.drain_tokens[b] for b in write_bufs]
-        produce_chs = [
-            (self.channels[ch_id],
-             self.clusters[config.channel(ch_id).consumer_partition],
+        consume_gets = [Get(self.channels[ch_id])
+                        for ch_id in part.consumes]
+        read_gets = [Get(self.fill_tokens[b])
+                     for b in self.read_bufs[part.partition_index]]
+        write_toks = [self.drain_tokens[b]
+                      for b in self.write_bufs[part.partition_index]]
+        produced = [
+            (cluster, self.clusters[config.channel(ch_id).consumer_partition],
              config.channel(ch_id).payload_bytes)
             for ch_id in part.produces
         ]
+        # pipeline fill latency of each produced channel, paid once
+        produce_chs = [
+            (self.channels[ch_id],
+             traffic.latency_of(src, dst, payload * self.chunk_sizes[0]))
+            for ch_id, (src, dst, payload) in zip(part.produces, produced)
+        ]
         overlap = 1.0 if self.offload.serial_chain else engine.io_overlap
-        # deferred commutative accounting, flushed once after the loop
-        # (bit-identical to per-chunk charges/records: the ledgers
-        # accumulate exact integer counts)
-        trans_n = d_a = total_iters = a_a = 0
-        operand_recs: Dict[Tuple[int, int], int] = {}
-        for c, iters in enumerate(self.chunk_sizes):
-            for ch in consume_chs:
-                yield Get(ch)
-            for tok in read_toks:
-                yield Get(tok)
-            ind_cycles = 0
-            for acc, chunks in ind_chunks:
-                elems = chunks[c]
-                at = self._migrated(
-                    cluster,
-                    self._addr(acc, elems[0]) if len(elems) else None,
-                )
-                ind_cycles += self._indirect_chunk(acc, at, elems)
-                if len(elems):
-                    trans_n += len(elems)
-                    d_a += len(elems) * acc.elem_bytes
-            compute_ps = ii_ps * iters
-            # a loop-carried address chain (pointer chasing) serializes
-            # indirect accesses on every substrate (overlap hoisted)
-            indirect_ps = cycles_to_ps(ind_cycles / overlap, MEM_FREQ_GHZ)
-            yield Delay(compute_ps + indirect_ps)
-            total_iters += iters
-            for ch, dst_cluster, payload_bytes in produce_chs:
-                payload = payload_bytes * iters
-                key = (dst_cluster, payload)
-                operand_recs[key] = operand_recs.get(key, 0) + 1
-                a_a += payload
-                if c == 0:
-                    lat_ps = traffic.latency_of(
-                        cluster, dst_cluster, payload
-                    )
-                    if lat_ps:
-                        yield Delay(lat_ps)  # pipeline fill latency, once
-                yield Put(ch, c)
-            for tok in write_toks:
-                yield Put(tok, c)
-        if trans_n:
-            energy.charge("access_unit", "translation_lookup", trans_n)
-            self.stats.d_a_bytes += d_a
+        # static accounting, charged once for the whole run
+        total_iters = sum(self.chunk_sizes)
         engine.backend.charge_iteration(profile, energy, count=total_iters)
         # operand reads/writes: access-unit SRAM buffers, or the
         # centralized private cache in Mono-CA
@@ -781,16 +777,36 @@ class _RunContext:
             "private_cache_access" if engine.private_cache is not None
             else "buffer_access"
         )
+        intra_per_iter = profile.buffer_reads + profile.buffer_writes
         energy.charge("access_unit", operand_event,
                       intra_per_iter * total_iters)
         self.stats.intra_bytes += intra_per_iter * total_iters * 4
+        operand_recs, a_a = self._operand_counts(produced)
         self.stats.a_a_bytes += a_a
-        for (dst_cluster, payload), count in operand_recs.items():
-            traffic.record(MessageKind.ACC_OPERAND, cluster, dst_cluster,
-                           payload, count=count)
+        for (src, dst, payload), count in operand_recs.items():
+            traffic.record(MessageKind.ACC_OPERAND, src, dst, payload,
+                           count=count)
             # every operand message is matched by a zero-payload credit
-            traffic.record(MessageKind.ACC_CREDIT, dst_cluster, cluster,
-                           0, count=count)
+            traffic.record(MessageKind.ACC_CREDIT, dst, src, 0,
+                           count=count)
+        for c, iters in enumerate(self.chunk_sizes):
+            for get in consume_gets:
+                yield get
+            for get in read_gets:
+                yield get
+            ind_cycles = 0
+            for entries, walk, _, is_write in ind_plans:
+                ind_cycles += walk(entries[c], is_write)
+            # a loop-carried address chain (pointer chasing) serializes
+            # indirect accesses on every substrate (overlap hoisted)
+            yield Delay(ii_ps * iters
+                        + cycles_to_ps(ind_cycles / overlap, MEM_FREQ_GHZ))
+            for ch, lat_ps in produce_chs:
+                if c == 0 and lat_ps:
+                    yield Delay(lat_ps)  # pipeline fill latency, once
+                yield Put(ch, c)
+            for tok in write_toks:
+                yield Put(tok, c)
 
     def _fused_group_proc(self, group: List[int]):
         """Serially executes a dependence cycle of partitions.
@@ -825,8 +841,8 @@ class _RunContext:
             for ch in intra_channels
         )
         group_set = set(group)
-        external_consumes = [
-            ch.channel_id for ch in config.channels
+        consume_gets = [
+            Get(self.channels[ch.channel_id]) for ch in config.channels
             if ch.consumer_partition in group_set
             and ch.producer_partition not in group_set
         ]
@@ -835,62 +851,18 @@ class _RunContext:
             if ch.producer_partition in group_set
             and ch.consumer_partition not in group_set
         ]
-        ind_chunks = [
-            (part, acc, self._elem_chunks(acc))
+        produce_chs = [self.channels[ch.channel_id]
+                       for ch in external_produces]
+        read_gets = [Get(self.fill_tokens[buf_key]) for part in members
+                     for buf_key in self.read_bufs[part.partition_index]]
+        write_toks = [self.drain_tokens[buf_key] for part in members
+                      for buf_key in self.write_bufs[part.partition_index]]
+        ind_plans = self._indirect_plans([
+            (acc, self.clusters[part.partition_index])
             for part in members for acc in self._indirect(part)
-        ]
-        # deferred commutative accounting (see _partition_proc)
-        trans_n = d_a = total_iters = a_a = 0
-        operand_recs: Dict[Tuple[int, int, int], int] = {}
-        for c, iters in enumerate(self.chunk_sizes):
-            for ch_id in external_consumes:
-                yield Get(self.channels[ch_id])
-            for part in members:
-                for buf_key in self.read_bufs[part.partition_index]:
-                    yield Get(self.fill_tokens[buf_key])
-            ind_cycles = 0
-            for part, acc, chunks in ind_chunks:
-                cluster = self.clusters[part.partition_index]
-                elems = chunks[c]
-                at = self._migrated(
-                    cluster,
-                    self._addr(acc, elems[0]) if len(elems) else None,
-                )
-                ind_cycles += self._indirect_chunk(acc, at, elems)
-                if len(elems):
-                    trans_n += len(elems)
-                    d_a += len(elems) * acc.elem_bytes
-            # dependence cycle: no overlap across iterations
-            yield Delay(
-                iters * (per_iter_ps + hop_ps)
-                + cycles_to_ps(ind_cycles, MEM_FREQ_GHZ)
-            )
-            total_iters += iters
-            for ch in intra_channels:
-                payload = ch.payload_bytes * iters
-                key = (
-                    self.clusters[ch.producer_partition],
-                    self.clusters[ch.consumer_partition],
-                    payload,
-                )
-                operand_recs[key] = operand_recs.get(key, 0) + 1
-                a_a += payload
-            for ch in external_produces:
-                payload = ch.payload_bytes * iters
-                key = (
-                    self.clusters[ch.producer_partition],
-                    self.clusters[ch.consumer_partition],
-                    payload,
-                )
-                operand_recs[key] = operand_recs.get(key, 0) + 1
-                a_a += payload
-                yield Put(self.channels[ch.channel_id], c)
-            for part in members:
-                for buf_key in self.write_bufs[part.partition_index]:
-                    yield Put(self.drain_tokens[buf_key], c)
-        if trans_n:
-            energy.charge("access_unit", "translation_lookup", trans_n)
-            self.stats.d_a_bytes += d_a
+        ])
+        # static accounting, charged once for the whole run
+        total_iters = sum(self.chunk_sizes)
         for part in members:
             profile = profiles[part.partition_index]
             engine.backend.charge_iteration(profile, energy,
@@ -899,7 +871,29 @@ class _RunContext:
             energy.charge("access_unit", "buffer_access",
                           intra * total_iters)
             self.stats.intra_bytes += intra * total_iters * 4
+        operand_recs, a_a = self._operand_counts([
+            (self.clusters[ch.producer_partition],
+             self.clusters[ch.consumer_partition], ch.payload_bytes)
+            for ch in intra_channels + external_produces
+        ])
         self.stats.a_a_bytes += a_a
         for (src, dst, payload), count in operand_recs.items():
             traffic.record(MessageKind.ACC_OPERAND, src, dst, payload,
                            count=count)
+        for c, iters in enumerate(self.chunk_sizes):
+            for get in consume_gets:
+                yield get
+            for get in read_gets:
+                yield get
+            ind_cycles = 0
+            for entries, walk, _, is_write in ind_plans:
+                ind_cycles += walk(entries[c], is_write)
+            # dependence cycle: no overlap across iterations
+            yield Delay(
+                iters * (per_iter_ps + hop_ps)
+                + cycles_to_ps(ind_cycles, MEM_FREQ_GHZ)
+            )
+            for ch in produce_chs:
+                yield Put(ch, c)
+            for tok in write_toks:
+                yield Put(tok, c)

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Optional, Tuple
 
+import numpy as np
+
 from ..compiler.pipeline import CompiledKernel, CompileMode, compile_kernel
 from ..energy import EnergyLedger
 from ..errors import ConfigError
@@ -160,6 +162,9 @@ class SystemSimulator:
         #: cache entry serves all six configs of the experiment matrix
         self.trace_cache = trace_cache
         self.trace_key = trace_key
+        #: NumPy reference outputs of the instance being run, when the
+        #: trace cache holds them (None: validation computes them)
+        self._golden: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def run(self, instance: WorkloadInstance) -> RunResult:
@@ -196,9 +201,11 @@ class SystemSimulator:
         is attached the first configuration records every call and later
         configurations replay without re-running the interpreter. Replays
         restore the final array contents so output validation still
-        observes the executed program state.
+        observes the executed program state, and validate it against the
+        reference outputs the recording run stored with the trace.
         """
         cache, key = self.trace_cache, self.trace_key
+        self._golden = None
         if cache is not None and key is not None:
             entry = cache.get(*key)
             if entry is not None:
@@ -207,6 +214,7 @@ class SystemSimulator:
                     yield record.kernel, record.scalars, record.view()
                 for name, arr in entry.final_arrays.items():
                     instance.arrays[name][...] = arr
+                self._golden = entry.golden
                 return
         # vectorized whole-loop interpretation when REPRO_VEC allows it;
         # scalar tree-walking otherwise — bit-identical either way
@@ -223,12 +231,14 @@ class SystemSimulator:
                 ))
             yield call.kernel, call.scalars, res
         if recording:
+            self._golden = instance.reference_outputs()
             cache.put(WorkloadTrace(
                 workload=key[0], scale=key[1], calls=records,
                 final_arrays={
                     name: arr.copy()
                     for name, arr in instance.arrays.items()
                 },
+                golden=self._golden,
             ))
 
     # ------------------------------------------------------------------
@@ -397,7 +407,7 @@ class SystemSimulator:
                 + hierarchy.traffic.total_byte_hops()
             ),
             access_dist=dist,
-            validated=instance.validate(),
+            validated=instance.validate(self._golden),
             mmio_bytes=mmio,
             accel_iterations=accel_iters,
         )

@@ -11,8 +11,9 @@ of a full §VI reproduction.
 :class:`TraceCache` is a bounded in-memory LRU store keyed by
 ``(workload, scale)``; each entry holds one :class:`FunctionalCallRecord`
 per dynamic kernel call (i.e. the logical key space is
-``(workload, scale, call index)``) plus the final array contents so
-output validation still observes the executed program on replay. Evicted
+``(workload, scale, call index)``) plus the final array contents and the
+NumPy reference outputs, so output validation still observes the
+executed program on replay without recomputing the reference. Evicted
 entries can optionally spill to on-disk pickles and are transparently
 reloaded on the next miss.
 
@@ -143,6 +144,10 @@ class WorkloadTrace:
     calls: List[FunctionalCallRecord]
     #: array contents after the last call, for replayed validation
     final_arrays: Dict[str, np.ndarray]
+    #: the workload's NumPy reference outputs, computed once by the
+    #: recording run (None in pickles spilled before it was stored:
+    #: replayed validation then recomputes them)
+    golden: Optional[Dict[str, np.ndarray]] = None
 
     @property
     def peak_trace_elems(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -76,9 +76,12 @@ class WorkloadInstance:
         inputs = {k: v.copy() for k, v in self._initial.items()}
         return self._reference(inputs)
 
-    def validate(self) -> bool:
-        """Compare current array state against the NumPy reference."""
-        golden = self.reference_outputs()
+    def validate(self, golden: Optional[Dict[str, np.ndarray]] = None
+                 ) -> bool:
+        """Compare current array state against the NumPy reference
+        (``golden``: precomputed :meth:`reference_outputs`)."""
+        if golden is None:
+            golden = self.reference_outputs()
         for name in self.outputs:
             if name not in golden:
                 raise ConfigError(f"reference lacks output {name!r}")

@@ -499,13 +499,13 @@ class TestSetLevelCacheWalk:
     """``Cache.access_batch`` must be a drop-in for per-access calls:
     same outcomes, same counters, same final tag/dirty/LRU state."""
 
-    def make_caches(self):
-        params = CacheParams(size_bytes=4096, ways=4, latency_cycles=1,
-                             mshrs=4)
+    def make_caches(self, size_bytes=4096):
+        params = CacheParams(size_bytes=size_bytes, ways=4,
+                             latency_cycles=1, mshrs=4)
         return Cache(params, "a"), Cache(params, "b")
 
-    def drive_both(self, lines, make_dirty):
-        ref, vec = self.make_caches()
+    def drive_both(self, lines, make_dirty, size_bytes=4096):
+        ref, vec = self.make_caches(size_bytes)
         exp_hit = np.zeros(len(lines), dtype=bool)
         exp_vline = np.full(len(lines), -1, dtype=np.int64)
         exp_vdirty = np.zeros(len(lines), dtype=bool)
@@ -543,6 +543,32 @@ class TestSetLevelCacheWalk:
         lines = rng.integers(0, 64, 600) * num_sets + 5
         dirty = rng.random(600) < 0.5
         self.drive_both(lines, dirty)
+
+    def test_wide_cache_vectorized_waves(self):
+        # 256 sets: the first waves are wider than _WAVE_MIN_VEC, so the
+        # dense-image walk runs before the scalar tail
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 4096, 3000)
+        dirty = rng.random(3000) < 0.3
+        self.drive_both(lines, dirty, size_bytes=65536)
+
+    def test_short_batch_below_wave_width(self):
+        # n < _WAVE_MIN_VEC on a wide cache: no wave can vectorize
+        rng = np.random.default_rng(9)
+        n = Cache._WAVE_MIN_VEC - 1
+        lines = rng.integers(0, 4096, n)
+        dirty = rng.random(n) < 0.5
+        self.drive_both(lines, dirty, size_bytes=65536)
+
+    def test_fewer_sets_than_wave_width(self):
+        # 8 sets < _WAVE_MIN_VEC: every wave is narrow, however long
+        # the batch
+        ref, _ = self.make_caches(2048)
+        assert ref.num_sets < Cache._WAVE_MIN_VEC
+        rng = np.random.default_rng(13)
+        lines = rng.integers(0, 256, 2000)
+        dirty = rng.random(2000) < 0.3
+        self.drive_both(lines, dirty, size_bytes=2048)
 
     def test_empty_batch(self):
         _, vec = self.make_caches()

@@ -1,10 +1,11 @@
 """Property tests: batched memory-system entry points == scalar reference.
 
 Two hierarchies built from the same machine parameters replay the same
-randomized access stream, one through the ``*_batch`` fast paths and one
-access at a time; every observable counter must come out identical —
-summed latencies, per-event energy, cache statistics, NoC traffic, DRAM
-counters and data movement. This is the micro-level guarantee behind the
+randomized access stream, one through the ``*_batch`` fast paths (or an
+accelerator stream's plan + walk) and one access at a time; every
+observable counter must come out identical — summed latencies,
+per-event energy, cache statistics, NoC traffic, DRAM counters and data
+movement. This is the micro-level guarantee behind the
 whole-run gate in ``tests/sim/test_fastpath_equiv.py``.
 """
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.energy import EnergyLedger
+from repro.errors import SimulationError
 from repro.mem import MemoryHierarchy
 from repro.params import default_machine
 
@@ -93,48 +95,131 @@ def test_host_access_batch_chunking_invariant():
     assert_same_state(whole, whole_energy, split, split_energy)
 
 
-@pytest.mark.parametrize("is_write", [False, True])
-def test_accel_line_fetch_batch_matches_scalar(is_write):
-    rng = np.random.default_rng(11)
-    addrs = (np.int64(0x1000_0000)
-             + rng.integers(0, 1 << 20, 1500).astype(np.int64) * 64)
-    fast, fast_energy = make_hierarchy()
-    ref, ref_energy = make_hierarchy()
-
-    batch_lat = fast.accel_line_fetch_batch(2, addrs, is_write)
-    scalar_lat = sum(
-        ref.accel_line_fetch(2, addr, is_write) for addr in addrs.tolist()
-    )
-    assert batch_lat == scalar_lat
+def assert_same_accel_state(fast, fast_energy, ref, ref_energy):
     assert fast_energy.by_event() == ref_energy.by_event()
     assert fast.stats().as_dict() == ref.stats().as_dict()
     assert fast.movement_bytes == ref.movement_bytes
     assert fast.traffic.breakdown() == ref.traffic.breakdown()
+    assert fast.traffic.total_byte_hops() == ref.traffic.total_byte_hops()
     assert fast.dram.reads == ref.dram.reads
     assert fast.dram.writes == ref.dram.writes
+    for a, b in zip(fast.l3.slices + fast.acps, ref.l3.slices + ref.acps):
+        assert [list(s.items()) for s in a._sets] == [
+            list(s.items()) for s in b._sets
+        ]  # tags, dirty bits and LRU order
+
+
+def chunked(chunks):
+    """Concatenated addresses + chunk bounds of a list of chunks."""
+    sizes = [len(c) for c in chunks]
+    return (np.concatenate(chunks).astype(np.int64),
+            np.concatenate(([0], np.cumsum(sizes))).astype(np.int64))
+
+
+def line_chunks(h, seed):
+    """Line-address chunks: one stripe, across a stripe boundary, empty,
+    random lines over many homes, and a revisit (hits)."""
+    rng = np.random.default_rng(seed)
+    stripe = h.l3.stripe_bytes
+    base = 0x1000_0000
+    one_stripe = base + np.arange(40, dtype=np.int64) * 64
+    return [
+        one_stripe,
+        base + stripe - 20 * 64 + np.arange(40, dtype=np.int64) * 64,
+        np.empty(0, dtype=np.int64),
+        base + rng.integers(0, 1 << 20, 1500).astype(np.int64) * 64,
+        np.empty(0, dtype=np.int64),
+        one_stripe,
+    ]
+
+
+def replay_planned(h, plan_fn, walk_fn, at, chunks, is_write, *extra):
+    """Plan a chunked stream and walk every chunk inside one accounting
+    window, as an offload run does; returns per-chunk latencies."""
+    addrs, bounds = chunked(chunks)
+    win = h.open_accounting()
+    try:
+        plan = plan_fn(at, addrs, bounds, is_write, *extra)
+        lats = [walk_fn(entry, is_write) for entry in plan]
+    finally:
+        h.close_accounting(win)
+    return lats
+
+
+@pytest.mark.parametrize("is_write", [False, True])
+def test_accel_line_plan_walk_matches_scalar(is_write):
+    fast, fast_energy = make_hierarchy()
+    ref, ref_energy = make_hierarchy()
+    chunks = line_chunks(fast, 11)
+    ncl = fast.l3.num_clusters
+    at = np.array([2, 5, 1, 0, 3, ncl - 1], dtype=np.int64)
+    # the crossing chunk really spans two home slices
+    assert len(set(fast.l3.home_clusters(chunks[1]).tolist())) == 2
+
+    lats = replay_planned(fast, fast.accel_line_plan, fast.accel_line_walk,
+                          at, chunks, is_write)
+    ref_lats = [
+        sum(ref.accel_line_fetch(a, addr, is_write)
+            for addr in chunk.tolist())
+        for a, chunk in zip(at.tolist(), chunks)
+    ]
+    assert lats == ref_lats
+    assert_same_accel_state(fast, fast_energy, ref, ref_energy)
+
+
+def test_accel_line_plan_invariant_first_line_only():
+    """A loop-invariant fill fetches chunk 0's first line and nothing
+    else: one one-line chunk followed by empty chunks."""
+    fast, fast_energy = make_hierarchy()
+    ref, ref_energy = make_hierarchy()
+    first = np.array([0x1000_0040], dtype=np.int64)
+    chunks = [first] + [np.empty(0, dtype=np.int64)] * 7
+    at = np.full(8, 3, dtype=np.int64)
+
+    lats = replay_planned(fast, fast.accel_line_plan, fast.accel_line_walk,
+                          at, chunks, False)
+    assert lats[1:] == [0] * 7
+    assert lats[0] == ref.accel_line_fetch(3, int(first[0]), False)
+    assert_same_accel_state(fast, fast_energy, ref, ref_energy)
+
+
+def test_accel_line_walk_needs_accounting_window():
+    h, _ = make_hierarchy()
+    addrs, bounds = chunked([np.array([0x1000_0000], dtype=np.int64)])
+    plan = h.accel_line_plan(np.zeros(1, dtype=np.int64), addrs, bounds,
+                             False)
+    with pytest.raises(SimulationError):
+        h.accel_line_walk(plan[0], False)
 
 
 @pytest.mark.parametrize("elem_bytes,is_write",
                          [(4, False), (4, True), (8, False)])
 def test_accel_elem_access_batch_matches_scalar(elem_bytes, is_write):
     rng = np.random.default_rng(13)
-    addrs = (np.int64(0x2000_0000)
-             + rng.integers(0, 1 << 18, 2000).astype(np.int64) * elem_bytes)
     fast, fast_energy = make_hierarchy()
     ref, ref_energy = make_hierarchy()
+    stripe = fast.l3.stripe_bytes
+    base = np.int64(0x2000_0000)
+    chunks = [
+        base + rng.integers(0, 1 << 18, 2000).astype(np.int64) * elem_bytes,
+        np.empty(0, dtype=np.int64),
+        # same-line runs (collapsed) running across a stripe boundary
+        base + stripe - 256 + np.repeat(
+            np.arange(64, dtype=np.int64), 3) * elem_bytes,
+        base + np.arange(300, dtype=np.int64) * elem_bytes,
+    ]
+    at = np.array([1, 4, 0, 6], dtype=np.int64)
 
-    batch_lat = fast.accel_elem_access_batch(1, addrs, is_write, elem_bytes)
-    scalar_lat = sum(
-        ref.accel_elem_access(1, addr, is_write, elem_bytes)
-        for addr in addrs.tolist()
-    )
-    assert batch_lat == scalar_lat
-    assert fast_energy.by_event() == ref_energy.by_event()
-    assert fast.stats().as_dict() == ref.stats().as_dict()
-    assert fast.movement_bytes == ref.movement_bytes
-    assert fast.traffic.breakdown() == ref.traffic.breakdown()
-    assert fast.dram.reads == ref.dram.reads
-    assert fast.dram.writes == ref.dram.writes
+    lats = replay_planned(fast, fast.accel_elem_plan,
+                          fast.accel_elem_access_batch, at, chunks,
+                          is_write, elem_bytes)
+    ref_lats = [
+        sum(ref.accel_elem_access(a, addr, is_write, elem_bytes)
+            for addr in chunk.tolist())
+        for a, chunk in zip(at.tolist(), chunks)
+    ]
+    assert lats == ref_lats
+    assert_same_accel_state(fast, fast_energy, ref, ref_energy)
 
 
 def test_l3_demand_window_matches_scalar():

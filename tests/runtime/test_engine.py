@@ -1,11 +1,14 @@
 """Unit tests for the offload execution engine."""
 
 import numpy as np
+import pytest
 
 from repro.accel.cgra import CgraBackend
 from repro.accel.inorder import InOrderBackend
 from repro.compiler import CompileMode, compile_kernel
 from repro.energy import EnergyLedger
+from repro.errors import AllocationError
+from repro.interface.scheduler import HardwareScheduler
 from repro.ir import FLOAT32, Interpreter, Kernel, Loop, LoopVar, MemObject
 from repro.mem import MemoryHierarchy, SlabAllocator
 from repro.params import experiment_machine
@@ -104,6 +107,33 @@ class TestEngineRun:
         e2, off2, cl2, res2, st2, _ = saxpy_setup(n=512)
         big = e2.run(off2, cl2, res2.inner_iterations, 1, st2)
         assert big.time_ps > small.time_ps
+
+
+class TestSchedulerErrors:
+    """configure() tolerates SRAM pressure (AllocationError: the access
+    falls back to an uncombined buffer) and nothing else."""
+
+    def test_allocation_error_falls_back_uncombined(self, monkeypatch):
+        def full(self, ctx, cluster, access, capacity_elems=None):
+            raise AllocationError("access-unit SRAM exhausted")
+
+        monkeypatch.setattr(HardwareScheduler, "allocate", full)
+        engine, off, clusters, res, streams, _ = saxpy_setup()
+        stats = engine.run(off, clusters, res.inner_iterations, 1, streams)
+        assert stats.time_ps > 0
+        acc = off.config.partitions[0].accesses[0]
+        assert engine.buffer_key(off, acc.access_id) == (
+            10_000_000 + acc.access_id
+        )
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(self, ctx, cluster, access, capacity_elems=None):
+            raise TypeError("bug in the scheduler")
+
+        monkeypatch.setattr(HardwareScheduler, "allocate", broken)
+        engine, off, clusters, res, streams, _ = saxpy_setup()
+        with pytest.raises(TypeError, match="bug in the scheduler"):
+            engine.run(off, clusters, res.inner_iterations, 1, streams)
 
 
 class TestSerialGroups:

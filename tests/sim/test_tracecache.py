@@ -173,3 +173,68 @@ class TestReplayEquivalence:
                 machine=machine,
             )
         assert OBS.counter("interp.invocations") == 3 * calls_per_run
+
+
+class TestReplayValidation:
+    """Replayed cells validate against the reference outputs stored with
+    the trace: a corrupt replay is still caught, and the reference is
+    computed once per trace."""
+
+    KEY = ("spmv", "tiny")
+
+    @pytest.fixture(scope="class")
+    def machine(self):
+        return experiment_machine()
+
+    def run_cell(self, machine, cache, config="dist_da_f"):
+        return simulate_workload(
+            ALL_WORKLOADS["spmv"].build("tiny"), config, machine=machine,
+            trace_cache=cache, trace_key=self.KEY,
+        )
+
+    def test_reference_computed_once_per_trace(self, machine, monkeypatch):
+        from repro.workloads.base import WorkloadInstance
+
+        calls = []
+        reference = WorkloadInstance.reference_outputs
+
+        def counted(self):
+            calls.append(self.short)
+            return reference(self)
+
+        monkeypatch.setattr(WorkloadInstance, "reference_outputs", counted)
+        cache = TraceCache(max_entries=1)
+        runs = [self.run_cell(machine, cache, c)
+                for c in ("ooo", "mono_da_io", "dist_da_f")]
+        assert all(r.validated for r in runs)
+        assert calls == ["spmv"]  # the recording cell only
+        assert cache.get(*self.KEY).golden is not None
+
+    def test_corrupt_replay_fails_validation(self, machine):
+        cache = TraceCache(max_entries=1)
+        assert self.run_cell(machine, cache, "ooo").validated
+        entry = cache.get(*self.KEY)
+        out = ALL_WORKLOADS["spmv"].build("tiny").outputs[0]
+        entry.final_arrays[out].flat[0] += 1000.0
+        assert not self.run_cell(machine, cache).validated
+
+    def test_spill_without_golden_still_validates(self, machine, tmp_path):
+        cache = TraceCache(max_entries=1)
+        self.run_cell(machine, cache, "ooo")
+        entry = cache.get(*self.KEY)
+        # a pickle written before the reference was stored with traces
+        state = dict(vars(entry))
+        del state["golden"]
+        old = WorkloadTrace.__new__(WorkloadTrace)
+        old.__dict__.update(state)
+        spilled = TraceCache(max_entries=1, spill_dir=str(tmp_path))
+        with open(spilled._path(self.KEY), "wb") as f:
+            pickle.dump(old, f)
+
+        OBS.reset()
+        run = self.run_cell(machine, spilled)
+        assert spilled.disk_loads == 1
+        assert OBS.counter("tracecache.replays") == 1
+        assert OBS.counter("interp.invocations") == 0
+        assert spilled.get(*self.KEY).golden is None
+        assert run.validated

@@ -274,6 +274,42 @@ class TestDeadlock:
         sim.spawn("p", producer())
         sim.run()  # no DeadlockError despite blocked sink
 
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_waiter_on_blocked_daemon_detected(self, bounded):
+        # the daemon may block forever, but a non-daemon waiting on it
+        # then never finishes: that is a deadlock, not a clean exit
+        sim = Simulator()
+        ch = Channel(sim, capacity=1, name="never")
+
+        def server():
+            yield Get(ch)
+
+        def client(target):
+            yield WaitProcess(target)
+
+        d = sim.spawn("daemon", server(), daemon=True)
+        w = sim.spawn("client", client(d))
+        with pytest.raises(DeadlockError,
+                           match=r"client on wait\(daemon\)"):
+            sim.run(max_events=10**6 if bounded else None)
+        assert not w.done
+        assert w.blocked_desc == "wait(daemon)"
+
+    def test_waiter_unblocked_when_target_finishes(self):
+        sim = Simulator()
+
+        def worker():
+            yield Delay(10)
+
+        def client(target):
+            yield WaitProcess(target)
+            yield Delay(5)
+
+        t = sim.spawn("worker", worker())
+        w = sim.spawn("client", client(t))
+        assert sim.run() == 15
+        assert w.done and w.blocked_on is None
+
     def test_mutual_deadlock_detected(self):
         sim = Simulator()
         a = Channel(sim, capacity=1, name="a")
