@@ -3,9 +3,10 @@
 
 Times the (workload x configuration) matrix three ways — the full fast
 pipeline (``REPRO_FAST=1 REPRO_VEC=1``, the default: whole-loop affine
-interpretation, set-level cache walks), batched replay with the vector
-paths off (``REPRO_VEC=0``) and the scalar per-access reference
-(``REPRO_FAST=0``) — asserts all modes produce identical results cell
+interpretation plus batched replay), the scalar interpreter plus
+batched replay (``REPRO_VEC=0``; ``REPRO_VEC`` gates only the
+interpreter) and the scalar per-access reference (``REPRO_FAST=0``) —
+asserts all modes produce identical results cell
 for cell, and writes a machine-readable report to
 ``BENCH_matrix.json``:
 

@@ -54,9 +54,9 @@ REPRO_JOBS = EnvVar(
 )
 REPRO_VEC = EnvVar(
     "REPRO_VEC", "bool", "1",
-    "whole-loop vectorized interpretation of affine kernels and the "
-    "set-level vectorized cache walk; `0` keeps the per-iteration / "
-    "per-access scalar reference paths (bit-identical results)",
+    "whole-loop vectorized interpretation of affine kernels (the "
+    "golden interpreter only; replay does not read it); `0` keeps the "
+    "per-iteration scalar reference interpreter (bit-identical results)",
     "tests/ir/test_vecinterp.py",
 )
 REPRO_NO_VERIFY = EnvVar(

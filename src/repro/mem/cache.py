@@ -201,58 +201,7 @@ class Cache:
                 dirty_count += 1
         return dirty_count
 
-    # -- set-level vectorized walk (REPRO_VEC=1) ------------------------------
-    #
-    # The per-access LRU transition is stateful *within* a set but
-    # independent *across* sets, so a batch of accesses can be advanced
-    # in "waves": each wave takes the first still-pending access of
-    # every set — all distinct sets, hence independent — and applies the
-    # whole wave's transitions as numpy integer ops on a dense
-    # [num_sets, ways] image of the tag/dirty state. Program order
-    # within a set is preserved by construction (wave w serves each
-    # set's w-th pending access), and the dense image round-trips
-    # exactly through the ordered-dict representation, so the walk is
-    # bit-identical to per-access `access()` calls — counters, LRU
-    # order, dirty bits and victims alike.
-
-    #: a batch whose busiest set concentrates more than this many
-    #: accesses (and dominates the batch) degenerates into ~one access
-    #: per wave; the scalar loop is faster there
-    _WAVE_FALLBACK_COUNT = 32
-
-    #: waves narrower than this pay more in per-wave numpy setup than
-    #: the scalar loop costs; the batch walk switches to scalar for the
-    #: tail once wave width drops below it (wave widths only shrink)
-    _WAVE_MIN_VEC = 24
-
-    def _export_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense [num_sets, ways] image of (tags, dirty).
-
-        Valid entries are right-aligned with column order == LRU order
-        (column ``ways-1`` is MRU); empty slots hold tag -1 on the left.
-        Right-alignment makes the miss transition uniform: shifting left
-        evicts column 0, which is the true LRU when the set is full and
-        an empty slot otherwise.
-        """
-        tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        dirty = np.zeros((self.num_sets, self.ways), dtype=bool)
-        for set_idx, cset in enumerate(self._sets):
-            k = len(cset)
-            if k:
-                tags[set_idx, self.ways - k:] = list(cset.keys())
-                dirty[set_idx, self.ways - k:] = list(cset.values())
-        return tags, dirty
-
-    def _import_state(self, tags: np.ndarray, dirty: np.ndarray) -> None:
-        """Rebuild the ordered-dict sets from a dense image."""
-        sets = self._sets
-        for set_idx in range(self.num_sets):
-            row_tags = tags[set_idx]
-            valid = row_tags != -1
-            sets[set_idx] = dict(zip(
-                row_tags[valid].tolist(), dirty[set_idx][valid].tolist()
-            ))
-
+    # -- batch walk -----------------------------------------------------------
     def access_batch(self, lines: np.ndarray, make_dirty: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance the cache state over a batch of line accesses.
@@ -261,9 +210,16 @@ class Cache:
         order; ``make_dirty`` is the per-access dirty contribution (the
         hit/miss outcome and LRU movement never depend on it). Returns
         ``(hit, victim_line, victim_dirty)`` aligned with the inputs,
-        with ``victim_line == -1`` where nothing was evicted. Counter
-        updates (accesses/hits/misses/writebacks) match per-access
-        ``access()`` calls exactly.
+        with ``victim_line == -1`` where no dirty line was evicted.
+
+        The walk runs in program order with same-line run collapsing:
+        after a run's first access the line is resident at MRU, so the
+        rest of the run are guaranteed hits whose pop/reinsert is a
+        no-op — accounted in bulk, like :meth:`touch_resident`. The
+        per-access logic of :meth:`access` is inlined with the counters
+        kept in locals and flushed once, so outcomes, counters, LRU
+        order, dirty bits and victims all match per-access
+        :meth:`access` calls exactly.
         """
         n = len(lines)
         hit = np.zeros(n, dtype=bool)
@@ -271,113 +227,6 @@ class Cache:
         victim_dirty = np.zeros(n, dtype=bool)
         if n == 0:
             return hit, victim_line, victim_dirty
-        if n < self._WAVE_MIN_VEC or self.num_sets < self._WAVE_MIN_VEC:
-            # a wave holds at most one access per set, so no wave can
-            # reach the vector width: skip the set bookkeeping
-            self._access_batch_scalar(lines, make_dirty, hit,
-                                      victim_line, victim_dirty)
-            return hit, victim_line, victim_dirty
-        set_idx = lines % self.num_sets
-        new_tags = lines // self.num_sets
-        per_set = np.bincount(set_idx, minlength=1)
-        busiest = int(per_set.max())
-        if busiest > self._WAVE_FALLBACK_COUNT and busiest * 8 > n:
-            self._access_batch_scalar(lines, make_dirty, hit,
-                                      victim_line, victim_dirty)
-            return hit, victim_line, victim_dirty
-
-        # stable sort by set groups each set's accesses in program
-        # order; a second stable sort by within-group rank makes wave w
-        # the contiguous block of every set's w-th access
-        by_set = np.argsort(set_idx, kind="stable")
-        sorted_sets = set_idx[by_set]
-        group_start = np.flatnonzero(np.concatenate(
-            ([True], sorted_sets[1:] != sorted_sets[:-1])
-        ))
-        group_len = np.diff(np.concatenate((group_start, [n])))
-        rank = np.arange(n, dtype=np.int64) - np.repeat(
-            group_start, group_len
-        )
-        by_wave = by_set[np.argsort(rank, kind="stable")]
-        wave_sizes = np.bincount(rank)
-        if int(wave_sizes[0]) < self._WAVE_MIN_VEC:
-            # even the widest wave is narrow: skip the dense image
-            self._access_batch_scalar(lines, make_dirty, hit,
-                                      victim_line, victim_dirty)
-            return hit, victim_line, victim_dirty
-
-        tags, dirty = self._export_state()
-        ways = self.ways
-        col = np.arange(ways, dtype=np.int64)[None, :]
-        hits_total = 0
-        wbs_total = 0
-        n_vec = 0
-        lo = 0
-        for size in wave_sizes.tolist():
-            if size < self._WAVE_MIN_VEC:
-                break  # scalar tail below; wave widths never grow
-            sel = by_wave[lo:lo + size]
-            lo += size
-            n_vec += size
-            s = set_idx[sel]
-            t = new_tags[sel]
-            T = tags[s]
-            D = dirty[s]
-            match = T == t[:, None]
-            h = match.any(axis=1)
-            hit[sel] = h
-            hits_total += int(h.sum())
-            hw = np.where(h, np.argmax(match, axis=1), 0)
-            old_dirty = D[np.arange(size), hw] & h
-            miss = ~h
-            vt = T[:, 0]
-            vd = D[:, 0] & miss & (vt != -1)
-            victim_line[sel] = np.where(vd, vt * self.num_sets + s, -1)
-            victim_dirty[sel] = vd
-            wbs_total += int(vd.sum())
-            # permutation: drop the touched way (hit way, or column 0 on
-            # a miss), shift the tail left, re-insert at MRU
-            perm = np.where(col < hw[:, None], col,
-                            np.minimum(col + 1, ways - 1))
-            rows = np.arange(size)[:, None]
-            T = T[rows, perm]
-            D = D[rows, perm]
-            T[:, ways - 1] = t
-            D[:, ways - 1] = old_dirty | make_dirty[sel]
-            tags[s] = T
-            dirty[s] = D
-        self.accesses += n_vec
-        self.hits += hits_total
-        self.misses += n_vec - hits_total
-        self.writebacks += wbs_total
-        self._import_state(tags, dirty)
-        # the narrow tail runs scalar, rank-major: each set's remaining
-        # accesses stay in program order, and sets are independent
-        for i in by_wave[lo:].tolist():
-            out = self.access(int(lines[i]) << self.line_shift,
-                              bool(make_dirty[i]))
-            hit[i] = out.hit
-            if out.evicted is not None and out.evicted[1]:
-                victim_line[i] = out.evicted[0]
-                victim_dirty[i] = True
-        return hit, victim_line, victim_dirty
-
-    def _access_batch_scalar(self, lines: np.ndarray,
-                             make_dirty: np.ndarray, hit: np.ndarray,
-                             victim_line: np.ndarray,
-                             victim_dirty: np.ndarray) -> None:
-        """Program-order scalar walk with same-line run collapsing.
-
-        The scalar fallbacks fire exactly when accesses concentrate on
-        few sets — which in practice means long back-to-back runs to
-        the *same line* (an accumulator, a hot stride). After the run's
-        first access the line is resident at MRU, so the rest are
-        guaranteed hits whose pop/reinsert is a no-op — accounted in
-        bulk, like :meth:`touch_resident`. The per-access logic of
-        :meth:`access`/:meth:`_insert` is inlined with the counters kept
-        in locals and flushed once (bit-identical: integer sums).
-        """
-        n = len(lines)
         nsets = self.num_sets
         ways = self.ways
         sets_ = self._sets
@@ -437,6 +286,7 @@ class Cache:
         self.hits += nhit
         self.misses += nmiss
         self.writebacks += nwb
+        return hit, victim_line, victim_dirty
 
     # -- introspection --------------------------------------------------------
     @property

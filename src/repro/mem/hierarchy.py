@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..energy import EnergyLedger
-from ..envcfg import vec_path_enabled
 from ..errors import SimulationError
 from ..events import ps_to_cycles
 from ..noc import Mesh, MessageKind, TrafficLedger
@@ -373,27 +372,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # accelerator path
     # ------------------------------------------------------------------
-    def accel_access(self, local_cluster: int, addr: int,
-                     is_write: bool) -> int:
-        """Access from an accelerator at ``local_cluster`` via its ACP.
-
-        Data is served from the home L3 slice (local or remote) without
-        touching L1/L2. Returns latency in cycles (2 GHz domain).
-        """
-        acp = self.acps[local_cluster]
-        self.energy.charge("access_unit", "acp_access")
-        latency = 1  # ACP lookup
-        out = acp.access(addr, is_write)
-        if out.evicted and out.evicted[1]:
-            self._accel_writeback(local_cluster, out.evicted[0])
-        if out.hit:
-            return latency
-        latency += self._l3_demand(
-            addr, from_node=local_cluster, kind_fill=MessageKind.ACC_OPERAND
-        )
-        self.movement_bytes += self._line  # L3 -> ACP fill
-        return latency
-
     def accel_line_fetch(self, local_cluster: int, addr: int,
                          is_write: bool) -> int:
         """Line-granular transfer between an access-unit buffer and the
@@ -483,16 +461,14 @@ class MemoryHierarchy:
             latency += self._dram_fill(home)
         return latency
 
-    def l3_demand(self, addr: int, from_node: int,
-                  as_accel: bool = False) -> int:
+    def l3_demand(self, addr: int, from_node: int) -> int:
         """Public demand access to the home L3 slice from any mesh node.
 
         Used by accelerators with private caches (Mono-CA) whose misses go
         straight to the shared L3. Returns latency cycles.
         """
-        kind = (MessageKind.ACC_OPERAND if as_accel
-                else MessageKind.CACHE_FILL)
-        latency = self._l3_demand(addr, from_node=from_node, kind_fill=kind)
+        latency = self._l3_demand(addr, from_node=from_node,
+                                  kind_fill=MessageKind.CACHE_FILL)
         self.movement_bytes += self._line
         return latency
 
@@ -508,18 +484,6 @@ class MemoryHierarchy:
         evicted = self.l3.fill(addr, dirty=True)
         if evicted and evicted[1]:
             self._writeback_to_dram(cluster)
-
-    def _accel_writeback(self, local_cluster: int, line: int) -> None:
-        addr = line * self._line
-        home = self.l3.home_cluster(addr)
-        self.energy.charge("l3", "l3_access")
-        self.traffic.record(
-            MessageKind.ACC_OPERAND, local_cluster, home, self._line
-        )
-        self.movement_bytes += self._line
-        evicted = self.l3.fill(addr, dirty=True)
-        if evicted and evicted[1]:
-            self._writeback_to_dram(home)
 
     # ------------------------------------------------------------------
     # batched fast paths (REPRO_FAST=1)
@@ -543,6 +507,16 @@ class MemoryHierarchy:
         Returns the summed post-L1 exposure ``sum(max(lat - l1_lat, 0))``
         in cycles — the only per-access timing quantity the OoO model
         consumes.
+
+        Within a batch nothing downstream ever feeds back into L1, so
+        the whole L1 state transition is advanced first through
+        :meth:`~repro.mem.cache.Cache.access_batch`, then a python loop
+        visits *only the L1 misses* in program order for the downstream
+        L2/L3/prefetch/DRAM effects — which keeps every stateful
+        downstream transition in exactly the scalar order. The run
+        head's ``is_write`` and the collapsed run's dirty-OR both only
+        touch the line's dirty bit, so they fold into one ``make_dirty``
+        input without changing hit/miss or LRU behavior.
         """
         n = len(addrs)
         if n == 0:
@@ -559,163 +533,15 @@ class MemoryHierarchy:
         stripe = l3.stripe_bytes
         ncl = l3.num_clusters
         lat_of = self.traffic.latency_of
-        l1_access = l1.access
         l2_line_of = l2.line_of
 
         lines = addrs >> l1.line_shift
         cuts = np.flatnonzero(lines[1:] != lines[:-1]) + 1
         starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [n]))
         run_write = np.logical_or.reduceat(is_write, starts)
-        if vec_path_enabled():
-            return self._host_access_batch_vec(
-                addrs, stream_ids, starts, ends, run_write
-            )
-        addr_l = addrs.tolist()
-        write_l = is_write.tolist()
-        sid_l = stream_ids.tolist()
-
-        stall = 0
-        n_l2 = 0
-        moved = 0
-        demand_counts: Dict[int, int] = {}
-        demand_cycles: Dict[int, int] = {}
-        pool = self._open_dram_pool()
-        try:
-            for i, end, any_write in zip(starts.tolist(), ends.tolist(),
-                                         run_write.tolist()):
-                addr = addr_l[i]
-                lat = l1_lat
-                out1 = l1_access(addr, write_l[i])
-                ev1 = out1.evicted
-                if ev1 is not None and ev1[1]:
-                    self._writeback_into_l2(ev1[0])
-                if not out1.hit:
-                    # L1 miss -> L2
-                    n_l2 += 1
-                    lat += l2_lat
-                    out2 = l2.access(addr, is_write=False)
-                    moved += line
-                    ev2 = out2.evicted
-                    if ev2 is not None and ev2[1]:
-                        self._writeback_into_l3(ev2[0])
-                    if prefetcher is not None:
-                        for pf_addr in prefetcher.observe(sid_l[i], addr):
-                            if l2.probe(pf_addr):
-                                continue
-                            cluster = (pf_addr // stripe) % ncl
-                            demand_counts[cluster] = (
-                                demand_counts.get(cluster, 0) + 1
-                            )
-                            conv = demand_cycles.get(cluster)
-                            if conv is None:
-                                conv = demand_cycles[cluster] = (
-                                    _ps_to_cycles_int(
-                                        lat_of(self._host, cluster, 0)
-                                        + lat_of(cluster, self._host, line),
-                                        freq,
-                                    )
-                                )
-                            fill_latency = l3_lat + conv
-                            out3 = l3.access(pf_addr, is_write=False)
-                            ev3 = out3.evicted
-                            if ev3 is not None and ev3[1]:
-                                self._writeback_to_dram(cluster)
-                            if not out3.hit:
-                                fill_latency += self._dram_fill(cluster)
-                            evp = l2.fill(pf_addr, is_prefetch=True)
-                            moved += line
-                            if evp and evp[1]:
-                                self._writeback_into_l3(evp[0])
-                            self._note_late_prefetch(
-                                l2_line_of(pf_addr), int(
-                                    fill_latency
-                                    * self.PREFETCH_LATE_FRACTION
-                                )
-                            )
-                            self._stats_prefetches += 1
-                    if out2.hit:
-                        lat += late.pop(l2_line_of(addr), 0)
-                    else:
-                        # L2 miss -> home L3 slice over the mesh
-                        cluster = (addr // stripe) % ncl
-                        demand_counts[cluster] = (
-                            demand_counts.get(cluster, 0) + 1
-                        )
-                        conv = demand_cycles.get(cluster)
-                        if conv is None:
-                            conv = demand_cycles[cluster] = (
-                                _ps_to_cycles_int(
-                                    lat_of(self._host, cluster, 0)
-                                    + lat_of(cluster, self._host, line),
-                                    freq,
-                                )
-                            )
-                        lat += l3_lat + conv
-                        out3 = l3.access(addr, is_write=False)
-                        ev3 = out3.evicted
-                        if ev3 is not None and ev3[1]:
-                            self._writeback_to_dram(cluster)
-                        if not out3.hit:
-                            lat += self._dram_fill(cluster)
-                        moved += line
-                rest = end - i - 1
-                if rest:
-                    # back-to-back same-line accesses: guaranteed L1 hits
-                    l1.touch_resident(addr, any_write, rest)
-                if lat > l1_lat:
-                    stall += lat - l1_lat
-        finally:
-            if pool is not None:
-                self._flush_dram_pool(pool)
-        self._charge("l1", "l1_access", n)
-        if n_l2:
-            self._charge("l2", "l2_access", n_l2)
-        for cluster, count in demand_counts.items():
-            self._charge("l3", "l3_access", count)
-            self._record(MessageKind.CACHE_REQ, self._host, cluster, 0,
-                         count)
-            self._record(MessageKind.CACHE_FILL, cluster, self._host,
-                         line, count)
-        self.movement_bytes += moved
-        return stall
-
-    def _host_access_batch_vec(self, addrs: np.ndarray,
-                               stream_ids: np.ndarray,
-                               starts: np.ndarray, ends: np.ndarray,
-                               run_write: np.ndarray) -> int:
-        """Set-level vectorized variant of :meth:`host_access_batch`
-        (REPRO_VEC=1).
-
-        Within a batch nothing downstream ever feeds back into L1, so
-        the whole L1 state transition is advanced first through
-        :meth:`~repro.mem.cache.Cache.access_batch` (set-parallel waves,
-        numpy int ops), then a python loop visits *only the L1 misses*
-        in program order for the downstream L2/L3/prefetch/DRAM effects
-        — which keeps every stateful downstream transition in exactly
-        the scalar order. The run head's ``is_write`` and the collapsed
-        run's dirty-OR both only touch the line's dirty bit, so they
-        fold into one ``make_dirty`` input without changing hit/miss or
-        LRU behavior.
-        """
-        n = len(addrs)
-        m = self.machine
-        l1, l2, l3 = self.l1, self.l2, self.l3
-        l1_lat = m.l1.latency_cycles
-        l2_lat = m.l2.latency_cycles
-        l3_lat = m.l3.latency_cycles
-        line = self._line
-        freq = m.core.freq_ghz
-        prefetcher = self.prefetcher
-        late = self._late_prefetch
-        stripe = l3.stripe_bytes
-        ncl = l3.num_clusters
-        lat_of = self.traffic.latency_of
-        l2_line_of = l2.line_of
-
         head_addrs = addrs[starts]
         hit, victim_line, victim_dirty = l1.access_batch(
-            head_addrs >> l1.line_shift, run_write
+            lines[starts], run_write
         )
         bulk = n - len(starts)
         if bulk:
@@ -1057,12 +883,11 @@ class MemoryHierarchy:
             self._charge("l3", "l3_access", n_l3)
         return total
 
-    def l3_demand_batch(self, from_node: int,
-                        as_accel: bool = False) -> "L3DemandWindow":
+    def l3_demand_batch(self, from_node: int) -> "L3DemandWindow":
         """Open a deferred-accounting window over repeated
         :meth:`l3_demand` calls from one node (Mono-CA private-cache
         misses). Call :meth:`L3DemandWindow.flush` when done."""
-        return L3DemandWindow(self, from_node, as_accel)
+        return L3DemandWindow(self, from_node)
 
     # ------------------------------------------------------------------
     # flushes (coherence transitions)
@@ -1143,14 +968,11 @@ class L3DemandWindow:
     latency conversion is memoized per cluster (the mesh is static).
     """
 
-    __slots__ = ("hier", "from_node", "kind", "_counts", "_conv", "_pool")
+    __slots__ = ("hier", "from_node", "_counts", "_conv", "_pool")
 
-    def __init__(self, hier: MemoryHierarchy, from_node: int,
-                 as_accel: bool):
+    def __init__(self, hier: MemoryHierarchy, from_node: int):
         self.hier = hier
         self.from_node = from_node
-        self.kind = (MessageKind.ACC_OPERAND if as_accel
-                     else MessageKind.CACHE_FILL)
         self._counts: Dict[int, int] = {}
         self._conv: Dict[int, int] = {}
         self._pool = hier._open_dram_pool()
@@ -1190,7 +1012,7 @@ class L3DemandWindow:
             h._charge("l3", "l3_access", count)
             h._record(MessageKind.CACHE_REQ, self.from_node,
                       cluster, 0, count)
-            h._record(self.kind, cluster, self.from_node,
+            h._record(MessageKind.CACHE_FILL, cluster, self.from_node,
                       h._line, count)
         h.movement_bytes += total * h._line
         self._counts.clear()

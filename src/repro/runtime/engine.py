@@ -22,7 +22,7 @@ import numpy as np
 from ..accel.base import PartitionProfile
 from ..compiler.pipeline import CompiledOffload
 from ..energy import EnergyLedger
-from ..envcfg import fast_path_enabled, vec_path_enabled
+from ..envcfg import fast_path_enabled
 from ..errors import AllocationError, InterfaceError
 from ..events import Channel, Delay, Get, Put, Simulator, cycles_to_ps
 from ..interface.config import AccessConfig, AccessKind, PartitionConfig
@@ -46,8 +46,11 @@ HOST_SYNC_CYCLES = 40
 #: memory clock domain for latency accounting
 MEM_FREQ_GHZ = 2.0
 #: Mono-CA chunks at least this long advance the private cache through
-#: the set-parallel batch walk instead of the per-access loop
-_PRIVATE_VEC_MIN = 16
+#: `Cache.access_batch` (one numpy run-detection pass, then only the
+#: misses are visited); shorter chunks — most Mono-CA chunks hold a few
+#: accesses — take the per-access loop, which has no numpy setup to
+#: amortize
+_PRIVATE_BATCH_MIN = 16
 
 
 @dataclass
@@ -168,11 +171,12 @@ class OffloadEngine:
         window = self.hierarchy.l3_demand_batch(cluster)
         total = n  # 1 cycle per private-cache lookup
         try:
-            if n >= _PRIVATE_VEC_MIN and vec_path_enabled():
-                # advance the private cache set-parallel first: nothing
-                # downstream (L3 window, victim writebacks) ever feeds
-                # back into it, so visiting only the misses afterwards
-                # keeps every downstream transition in scalar order
+            if n >= _PRIVATE_BATCH_MIN:
+                # advance the private cache over the whole chunk first:
+                # nothing downstream (L3 window, victim writebacks) ever
+                # feeds back into it, so visiting only the misses
+                # afterwards keeps every downstream transition in scalar
+                # order
                 hit, vline, vdirty = pc.access_batch(
                     addrs >> pc.line_shift,
                     np.full(n, is_write, dtype=bool),

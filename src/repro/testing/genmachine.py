@@ -5,10 +5,11 @@ One seed in, one *valid* machine document out: cluster counts from
 random host tile and memory-controller attachment), randomized per-level
 cache geometry (power-of-two set counts by construction), bank counts,
 clock ratios and access-unit sizing. Capacities stay experiment-scale
-small so a fuzz case simulates in milliseconds. Energy/area charge
-sheets keep their calibrated defaults — the AN-C static cost bounds are
-part of the oracle, and their fixed margins are calibrated against the
-default tables.
+small so a fuzz case simulates in milliseconds; only the L1 of a
+quarter of the draws is as wide as Table III's (32 or 64 sets).
+Energy/area charge sheets keep their calibrated defaults — the AN-C
+static cost bounds are part of the oracle, and their fixed margins are
+calibrated against the default tables.
 
 Documents are sparse (deltas against Table III), which keeps the
 shrinker's job simple: dropping a key moves the machine *toward* the
@@ -18,7 +19,7 @@ reference configuration.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence
 
 from ..machine import validate_document
 
@@ -88,6 +89,9 @@ def generate_machine_doc(seed: int) -> Dict[str, object]:
         },
         "mono_private_bytes": 4 * _LINE * rng.choice((1, 2, 4, 8)),
     }
+    # wide L1: drawn last, so every other field keeps its value
+    if rng.random() < 0.25:
+        doc["l1"]["size_bytes"] = rng.choice((32, 64)) * l1_ways * _LINE
     # a generator bug must fail loudly here, not as a confusing oracle
     # failure downstream
     validate_document(doc)

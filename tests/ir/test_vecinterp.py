@@ -26,8 +26,6 @@ from repro.ir import (
     When,
 )
 from repro.ir.vecinterp import VecInterpreter, make_interpreter
-from repro.mem.cache import Cache
-from repro.params import CacheParams
 from repro.testing.genkernel import SHAPES, generate_case
 from repro.workloads import ALL_WORKLOADS
 
@@ -493,87 +491,3 @@ class TestGateSelection:
             sigs.append((r.time_ps, r.insts, r.mem_ops, r.energy_nj,
                          r.movement_bytes, r.validated, r.cache_stats))
         assert sigs[0] == sigs[1]
-
-
-class TestSetLevelCacheWalk:
-    """``Cache.access_batch`` must be a drop-in for per-access calls:
-    same outcomes, same counters, same final tag/dirty/LRU state."""
-
-    def make_caches(self, size_bytes=4096):
-        params = CacheParams(size_bytes=size_bytes, ways=4,
-                             latency_cycles=1, mshrs=4)
-        return Cache(params, "a"), Cache(params, "b")
-
-    def drive_both(self, lines, make_dirty, size_bytes=4096):
-        ref, vec = self.make_caches(size_bytes)
-        exp_hit = np.zeros(len(lines), dtype=bool)
-        exp_vline = np.full(len(lines), -1, dtype=np.int64)
-        exp_vdirty = np.zeros(len(lines), dtype=bool)
-        for i, (ln, wr) in enumerate(zip(lines.tolist(),
-                                         make_dirty.tolist())):
-            out = ref.access(ln << ref.line_shift, wr)
-            exp_hit[i] = out.hit
-            if out.evicted is not None and out.evicted[1]:
-                exp_vline[i] = out.evicted[0]
-                exp_vdirty[i] = True
-        hit, vline, vdirty = vec.access_batch(lines, make_dirty)
-        np.testing.assert_array_equal(hit, exp_hit)
-        np.testing.assert_array_equal(vline, exp_vline)
-        np.testing.assert_array_equal(vdirty, exp_vdirty)
-        assert (vec.accesses, vec.hits, vec.misses, vec.writebacks) == (
-            ref.accesses, ref.hits, ref.misses, ref.writebacks
-        )
-        assert vec._sets == ref._sets
-        assert [list(s.items()) for s in vec._sets] == [
-            list(s.items()) for s in ref._sets
-        ]  # LRU order, not just membership
-
-    def test_random_stream(self):
-        rng = np.random.default_rng(7)
-        lines = rng.integers(0, 512, 4000)
-        dirty = rng.random(4000) < 0.3
-        self.drive_both(lines, dirty)
-
-    def test_single_set_stream_uses_scalar_valve(self):
-        # every access maps to one set: the wave walk would degenerate,
-        # so the batch must take the scalar path — and still be exact
-        ref, _ = self.make_caches()
-        num_sets = ref.num_sets
-        rng = np.random.default_rng(11)
-        lines = rng.integers(0, 64, 600) * num_sets + 5
-        dirty = rng.random(600) < 0.5
-        self.drive_both(lines, dirty)
-
-    def test_wide_cache_vectorized_waves(self):
-        # 256 sets: the first waves are wider than _WAVE_MIN_VEC, so the
-        # dense-image walk runs before the scalar tail
-        rng = np.random.default_rng(5)
-        lines = rng.integers(0, 4096, 3000)
-        dirty = rng.random(3000) < 0.3
-        self.drive_both(lines, dirty, size_bytes=65536)
-
-    def test_short_batch_below_wave_width(self):
-        # n < _WAVE_MIN_VEC on a wide cache: no wave can vectorize
-        rng = np.random.default_rng(9)
-        n = Cache._WAVE_MIN_VEC - 1
-        lines = rng.integers(0, 4096, n)
-        dirty = rng.random(n) < 0.5
-        self.drive_both(lines, dirty, size_bytes=65536)
-
-    def test_fewer_sets_than_wave_width(self):
-        # 8 sets < _WAVE_MIN_VEC: every wave is narrow, however long
-        # the batch
-        ref, _ = self.make_caches(2048)
-        assert ref.num_sets < Cache._WAVE_MIN_VEC
-        rng = np.random.default_rng(13)
-        lines = rng.integers(0, 256, 2000)
-        dirty = rng.random(2000) < 0.3
-        self.drive_both(lines, dirty, size_bytes=2048)
-
-    def test_empty_batch(self):
-        _, vec = self.make_caches()
-        hit, vline, vdirty = vec.access_batch(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        )
-        assert len(hit) == len(vline) == len(vdirty) == 0
-        assert vec.accesses == 0

@@ -38,6 +38,15 @@ def test_cluster_counts_all_covered():
     assert sum(hist.values()) == len(docs)
 
 
+def test_l1_geometries_narrow_and_wide():
+    sets = set()
+    for doc in machine_doc_stream(0, 200):
+        l1 = machine_from_document(doc).l1
+        sets.add(l1.num_sets)
+    assert {2, 4} <= sets
+    assert max(sets) >= 32  # as wide as the Table III L1 (64 sets)
+
+
 def test_histogram_skips_default_machines():
     docs = list(machine_doc_stream(1, 4))
     assert sum(machine_histogram(docs + [None, None]).values()) == 4

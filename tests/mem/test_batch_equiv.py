@@ -15,12 +15,16 @@ import pytest
 from repro.energy import EnergyLedger
 from repro.errors import SimulationError
 from repro.mem import MemoryHierarchy
-from repro.params import default_machine
+from repro.params import base_machine, default_machine
+
+#: host-path machines: Table III's L1 has 64 sets, the experiment
+#: machine's (16x smaller) L1 has 4
+HOST_MACHINES = ("table3", "experiment")
 
 
-def make_hierarchy():
+def make_hierarchy(machine=None):
     energy = EnergyLedger()
-    return MemoryHierarchy(default_machine(), energy), energy
+    return MemoryHierarchy(machine or default_machine(), energy), energy
 
 
 def host_stream(seed: int, n: int = 3000):
@@ -59,10 +63,11 @@ def assert_same_state(fast, fast_energy, ref, ref_energy):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_host_access_batch_matches_scalar(seed):
+@pytest.mark.parametrize("machine", HOST_MACHINES)
+def test_host_access_batch_matches_scalar(machine, seed):
     addrs, is_write, stream_ids = host_stream(seed)
-    fast, fast_energy = make_hierarchy()
-    ref, ref_energy = make_hierarchy()
+    fast, fast_energy = make_hierarchy(base_machine(machine))
+    ref, ref_energy = make_hierarchy(base_machine(machine))
 
     batch_stall = fast.host_access_batch(addrs, is_write, stream_ids)
 
@@ -78,11 +83,12 @@ def test_host_access_batch_matches_scalar(seed):
     assert_same_state(fast, fast_energy, ref, ref_energy)
 
 
-def test_host_access_batch_chunking_invariant():
+@pytest.mark.parametrize("machine", HOST_MACHINES)
+def test_host_access_batch_chunking_invariant(machine):
     """Splitting one stream across many batch calls changes nothing."""
     addrs, is_write, stream_ids = host_stream(7)
-    whole, whole_energy = make_hierarchy()
-    split, split_energy = make_hierarchy()
+    whole, whole_energy = make_hierarchy(base_machine(machine))
+    split, split_energy = make_hierarchy(base_machine(machine))
 
     total_whole = whole.host_access_batch(addrs, is_write, stream_ids)
     total_split = 0
@@ -229,7 +235,7 @@ def test_l3_demand_window_matches_scalar():
     fast, fast_energy = make_hierarchy()
     ref, ref_energy = make_hierarchy()
 
-    window = fast.l3_demand_batch(from_node=3, as_accel=True)
+    window = fast.l3_demand_batch(from_node=3)
     batch_lat = 0
     try:
         for addr in addrs.tolist():
@@ -237,7 +243,7 @@ def test_l3_demand_window_matches_scalar():
     finally:
         window.flush()
     scalar_lat = sum(
-        ref.l3_demand(addr, from_node=3, as_accel=True)
+        ref.l3_demand(addr, from_node=3)
         for addr in addrs.tolist()
     )
     assert batch_lat == scalar_lat

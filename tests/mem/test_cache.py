@@ -1,5 +1,6 @@
 """Unit and property tests for the set-associative cache."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +276,90 @@ class TestTouchResident:
         c = tiny_cache()
         c.touch_resident(0x100, make_dirty=True, count=0)  # absent is fine
         assert c.accesses == 0
+
+
+class TestAccessBatch:
+    """``Cache.access_batch`` must be a drop-in for per-access calls:
+    same outcomes, same counters, same final tag/dirty/LRU state."""
+
+    def make_caches(self, size_bytes=4096):
+        params = CacheParams(size_bytes=size_bytes, ways=4,
+                             latency_cycles=1, mshrs=4)
+        return Cache(params, "a"), Cache(params, "b")
+
+    def drive_both(self, lines, make_dirty, size_bytes=4096):
+        ref, batch = self.make_caches(size_bytes)
+        exp_hit = np.zeros(len(lines), dtype=bool)
+        exp_vline = np.full(len(lines), -1, dtype=np.int64)
+        exp_vdirty = np.zeros(len(lines), dtype=bool)
+        for i, (ln, wr) in enumerate(zip(lines.tolist(),
+                                         make_dirty.tolist())):
+            out = ref.access(ln << ref.line_shift, wr)
+            exp_hit[i] = out.hit
+            if out.evicted is not None and out.evicted[1]:
+                exp_vline[i] = out.evicted[0]
+                exp_vdirty[i] = True
+        hit, vline, vdirty = batch.access_batch(lines, make_dirty)
+        np.testing.assert_array_equal(hit, exp_hit)
+        np.testing.assert_array_equal(vline, exp_vline)
+        np.testing.assert_array_equal(vdirty, exp_vdirty)
+        assert (batch.accesses, batch.hits, batch.misses,
+                batch.writebacks) == (ref.accesses, ref.hits, ref.misses,
+                                      ref.writebacks)
+        assert [list(s.items()) for s in batch._sets] == [
+            list(s.items()) for s in ref._sets
+        ]  # LRU order, not just membership
+
+    def test_random_stream(self):
+        rng = np.random.default_rng(7)
+        lines = rng.integers(0, 512, 4000)
+        dirty = rng.random(4000) < 0.3
+        self.drive_both(lines, dirty)
+
+    def test_single_set_stream(self):
+        # every access maps to one set
+        ref, _ = self.make_caches()
+        num_sets = ref.num_sets
+        rng = np.random.default_rng(11)
+        lines = rng.integers(0, 64, 600) * num_sets + 5
+        dirty = rng.random(600) < 0.5
+        self.drive_both(lines, dirty)
+
+    def test_wide_cache(self):
+        # 256 sets
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 4096, 3000)
+        dirty = rng.random(3000) < 0.3
+        self.drive_both(lines, dirty, size_bytes=65536)
+
+    def test_short_batch(self):
+        rng = np.random.default_rng(9)
+        lines = rng.integers(0, 4096, 23)
+        dirty = rng.random(23) < 0.5
+        self.drive_both(lines, dirty, size_bytes=65536)
+
+    def test_few_sets(self):
+        # 8 sets, long batch
+        ref, _ = self.make_caches(2048)
+        assert ref.num_sets == 8
+        rng = np.random.default_rng(13)
+        lines = rng.integers(0, 256, 2000)
+        dirty = rng.random(2000) < 0.3
+        self.drive_both(lines, dirty, size_bytes=2048)
+
+    def test_same_line_runs(self):
+        # back-to-back repeats collapse into one lookup plus bulk hits;
+        # a run whose head is a read and whose tail writes must still
+        # leave the line dirty
+        rng = np.random.default_rng(3)
+        lines = np.repeat(rng.integers(0, 256, 400), rng.integers(1, 6, 400))
+        dirty = rng.random(len(lines)) < 0.2
+        self.drive_both(lines, dirty, size_bytes=2048)
+
+    def test_empty_batch(self):
+        _, batch = self.make_caches()
+        hit, vline, vdirty = batch.access_batch(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        )
+        assert len(hit) == len(vline) == len(vdirty) == 0
+        assert batch.accesses == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.energy import EnergyLedger
 from repro.mem import CoherenceManager, Domain, MemoryHierarchy, NucaL3, SlabAllocator
-from repro.noc import TrafficClass
 from repro.params import PAGE_BYTES, default_machine
 
 
@@ -96,38 +95,6 @@ class TestHostPath:
         assert h.l1.writebacks > 0
 
 
-class TestAccelPath:
-    def test_accel_access_does_not_touch_l1_l2(self):
-        h, _ = make_hierarchy()
-        h.accel_access(0, 0x1000_0000, False)
-        s = h.stats()
-        assert s.l1 == 0 and s.l2 == 0
-        assert s.acp == 1 and s.l3 == 1
-
-    def test_acp_hit_is_cheap(self):
-        h, _ = make_hierarchy()
-        addr = 0x1000_0000
-        h.accel_access(0, addr, False)
-        lat = h.accel_access(0, addr, False)
-        assert lat == 1
-
-    def test_local_cluster_access_no_noc_traffic(self):
-        h, _ = make_hierarchy()
-        addr = 0x1000_0000  # home cluster 0 (page-interleaved)
-        assert h.l3.home_cluster(addr) == 0
-        h.accel_access(0, addr, False)
-        acc_bytes = h.traffic.class_bytes(TrafficClass.ACC_DATA)
-        assert h.traffic.total_byte_hops() > 0  # only the DRAM fill hops
-        assert acc_bytes > 0  # fill recorded even if local
-
-    def test_remote_cluster_access_crosses_mesh(self):
-        h, _ = make_hierarchy()
-        addr = 0x1000_0000 + PAGE_BYTES  # home cluster 1
-        h.accel_access(0, addr, False)  # issued from cluster 0
-        # request + fill crossed at least one hop each
-        assert h.traffic.total_byte_hops() > 64
-
-
 class TestCoherence:
     def test_acquire_flushes_host_copies(self):
         h, _ = make_hierarchy()
@@ -155,9 +122,9 @@ class TestCoherence:
         alloc = slab.allocate("A", 4096)
         mgr = CoherenceManager(h)
         mgr.acquire(alloc, Domain.ACCEL, cluster=1)
-        h.accel_access(1, alloc.base, True)
+        h.acps[1].access(alloc.base, True)  # dirty line in cluster 1's ACP
         assert h.acps[1].probe(alloc.base)
-        mgr.acquire(alloc, Domain.ACCEL, cluster=3)
+        assert mgr.acquire(alloc, Domain.ACCEL, cluster=3) == 1
         assert not h.acps[1].probe(alloc.base)
         assert mgr.transitions == 1
 

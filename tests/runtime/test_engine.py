@@ -10,9 +10,10 @@ from repro.energy import EnergyLedger
 from repro.errors import AllocationError
 from repro.interface.scheduler import HardwareScheduler
 from repro.ir import FLOAT32, Interpreter, Kernel, Loop, LoopVar, MemObject
-from repro.mem import MemoryHierarchy, SlabAllocator
-from repro.params import experiment_machine
+from repro.mem import Cache, MemoryHierarchy, SlabAllocator
+from repro.params import CacheParams, experiment_machine
 from repro.runtime import OffloadEngine, SiteStreams
+from repro.runtime.engine import _PRIVATE_BATCH_MIN
 
 
 def saxpy_setup(n=256, mode=CompileMode.DIST, backend="io"):
@@ -150,3 +151,73 @@ class TestSerialGroups:
         groups = ctx._serial_groups()
         assert all(len(g) == 1 for g in groups)
         assert sum(len(g) for g in groups) == off.config.num_partitions
+
+
+def mono_ca_engine(machine):
+    """An offload engine with a Mono-CA private cache (as sim/system.py
+    builds it), on a fresh hierarchy and energy ledger."""
+    energy = EnergyLedger()
+    hierarchy = MemoryHierarchy(machine, energy)
+    private = Cache(
+        CacheParams(size_bytes=machine.mono_private_bytes, ways=4,
+                    latency_cycles=1, mshrs=8,
+                    line_bytes=machine.l3.line_bytes),
+        name="mono_ca_private",
+    )
+    engine = OffloadEngine(machine, hierarchy, energy, SlabAllocator(),
+                           None, private_cache=private)
+    return engine, hierarchy, energy
+
+
+class TestPrivateFetchMany:
+    """Mono-CA chunk replay (`_private_fetch_many`) == per-access
+    `_line_fetch`, on both sides of the batch-walk threshold."""
+
+    CHUNK_LENGTHS = (1, 15, 16, 200)
+
+    def chunks(self, seed):
+        rng = np.random.default_rng(seed)
+        base = 0x2000_0000
+        out = []
+        for n in self.CHUNK_LENGTHS * 3:
+            # same-line repeats, a short sequential walk and random
+            # lines over a footprint larger than the private cache
+            lines = np.where(rng.random(n) < 0.5,
+                             rng.integers(0, 256, n),
+                             rng.integers(0, 8, n))
+            lines = np.repeat(lines, rng.integers(1, 3, n))[:n]
+            out.append(base + lines.astype(np.int64) * 64
+                       + rng.integers(0, 64, n))
+        return out
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_matches_per_access_line_fetch(self, is_write):
+        machine = experiment_machine()
+        assert _PRIVATE_BATCH_MIN in self.CHUNK_LENGTHS
+        batch, bh, be = mono_ca_engine(machine)
+        ref, rh, re_ = mono_ca_engine(machine)
+        cluster = 2
+        for chunk in self.chunks(seed=5 + is_write):
+            lat = batch._private_fetch_many(cluster, chunk, is_write)
+            ref_lat = sum(ref._line_fetch(cluster, addr, is_write)
+                          for addr in chunk.tolist())
+            assert lat == ref_lat
+        assert be.by_event() == re_.by_event()
+        assert bh.stats().as_dict() == rh.stats().as_dict()
+        assert bh.movement_bytes == rh.movement_bytes
+        assert bh.traffic.breakdown() == rh.traffic.breakdown()
+        assert (bh.dram.reads, bh.dram.writes) == (rh.dram.reads,
+                                                   rh.dram.writes)
+        for a, b in zip(bh.l3.slices, rh.l3.slices):
+            assert [list(s.items()) for s in a._sets] == [
+                list(s.items()) for s in b._sets
+            ]
+        pa, pb = batch.private_cache, ref.private_cache
+        assert (pa.accesses, pa.hits, pa.misses, pa.writebacks) == (
+            pb.accesses, pb.hits, pb.misses, pb.writebacks
+        )
+        assert pa.misses > 0 and pa.hits > 0
+        assert (pa.writebacks > 0) == is_write
+        assert [list(s.items()) for s in pa._sets] == [
+            list(s.items()) for s in pb._sets
+        ]  # tags, dirty bits and LRU order

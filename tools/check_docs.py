@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Docs-consistency checker (CI gate; also run as a pytest).
 
-Two invariants keep the documentation layer honest:
+These invariants keep the documentation layer honest:
 
 1. Every module under ``src/repro/`` is named in ``docs/ARCHITECTURE.md``
    — a module file as its relative path (``sim/system.py``), a package's
-   ``__init__.py`` as its directory prefix (``sim/``).
+   ``__init__.py`` as its directory prefix (``sim/``). Every code
+   identifier an ARCHITECTURE.md module row names in backticks occurs in
+   that module's source, so a row cannot outlive the code it describes
+   (see :func:`check_module_identifiers`).
 2. Every ``REPRO_*`` environment variable referenced anywhere under
    ``src/repro/`` is declared in :mod:`repro.envcfg` and documented in
    the README's environment-variable table (name, default and pinning
@@ -62,6 +65,55 @@ def check_architecture() -> list[str]:
         for tok in module_tokens()
         if tok not in text
     ]
+
+
+#: an ARCHITECTURE.md module row: ``| `sim/system.py` | role |``
+ARCH_ROW_RE = re.compile(r"^\|\s*`([^`|]+\.py)`\s*\|(.*)\|\s*$")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def is_code_identifier(token: str) -> bool:
+    """Names a row can only mean as code: a name with an underscore, a
+    CamelCase name, or a dotted ``Class.attr``; ``REPRO_*`` variables
+    are checked against the README instead."""
+    if token.startswith("REPRO_"):
+        return False
+    if "." in token:
+        return token[0].isupper()
+    return "_" in token or re.search(r"[a-z][A-Z]", token) is not None
+
+
+def row_identifiers(role: str) -> list[str]:
+    """Backticked code identifiers in a module row's role text
+    (a trailing ``()`` call marker is dropped)."""
+    out = []
+    for span in re.findall(r"`([^`]+)`", role):
+        token = span[:-2] if span.endswith("()") else span
+        if IDENT_RE.fullmatch(token) and is_code_identifier(token):
+            out.append(token)
+    return out
+
+
+def check_module_identifiers(text: str | None = None,
+                             src: Path = SRC) -> list[str]:
+    """Every backticked identifier in an ARCHITECTURE.md module row
+    occurs, each dotted part as a whole word, in that module's source."""
+    if text is None:
+        text = ARCH.read_text(encoding="utf-8")
+    problems = []
+    for line in text.splitlines():
+        m = ARCH_ROW_RE.match(line)
+        if not m or not (src / m.group(1)).is_file():
+            continue
+        module = m.group(1)
+        source = (src / module).read_text(encoding="utf-8")
+        for token in row_identifiers(m.group(2)):
+            if not all(re.search(rf"\b{re.escape(part)}\b", source)
+                       for part in token.split(".")):
+                problems.append(f"docs/ARCHITECTURE.md row `{module}` "
+                                f"names `{token}`, which is not in "
+                                f"src/repro/{module}")
+    return problems
 
 
 def env_vars_in_source() -> set[str]:
@@ -149,7 +201,8 @@ def check_service_docs() -> list[str]:
 
 
 def main() -> int:
-    problems = (check_architecture() + check_env_vars()
+    problems = (check_architecture() + check_module_identifiers()
+                + check_env_vars()
                 + check_machine_docs() + check_service_docs())
     for p in problems:
         print(f"check_docs: {p}", file=sys.stderr)
@@ -160,7 +213,8 @@ def main() -> int:
     from repro.machine.schema import schema_fields
     from repro.serve.protocol import ENDPOINTS
     print("check_docs: OK "
-          f"({len(module_tokens())} modules, README env table, "
+          f"({len(module_tokens())} modules and their row identifiers, "
+          f"README env table, "
           f"{len(schema_fields())} machine schema fields and "
           f"{len(ENDPOINTS)} serve endpoints in sync)")
     return 0
